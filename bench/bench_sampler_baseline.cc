@@ -1107,11 +1107,15 @@ int main(int argc, char** argv) {
   std::printf("\nWeighted draws (single thread)\n");
   WeightedEdgeList wlist;
   wlist.num_vertices = g.NumVertices();
-  g.MapEdges([&](NodeId u, NodeId v) {
-    if (u < v) {
-      wlist.Add(u, v, 1.0f + static_cast<float>((u + v) % 8));
-    }
-  });
+  {
+    // MapEdges is a ParallelFor; the list is appended without a lock.
+    SequentialRegion sequential;
+    g.MapEdges([&](NodeId u, NodeId v) {
+      if (u < v) {
+        wlist.Add(u, v, 1.0f + static_cast<float>((u + v) % 8));
+      }
+    });
+  }
   WeightedEdgeList wlist_gated = wlist;  // second instance, same edges
   WeightedCsrGraph wg = WeightedCsrGraph::FromEdges(std::move(wlist));
   const std::vector<NodeId>& wstarts = starts;  // same vertex ids, deg >= 1

@@ -177,12 +177,11 @@ Result<SparsifierResult> BuildSparsifierBatched(const G& g,
   SparsifierResult result;
   result.samples_drawn = drawn;
   result.samples_accepted = samples.size();
-  std::vector<std::pair<uint64_t, double>> canonical =
+  const std::vector<std::pair<uint64_t, double>> canonical =
       SortHistogram(std::move(records));
   result.distinct_entries = canonical.size();
   result.table_bytes = walk_state_bytes;
-  result.matrix = SparseMatrix::FromEntries(
-      n, n, internal::MirrorCanonical(std::move(canonical)));
+  result.matrix = internal::CanonicalToCsr(n, canonical);
   return result;
 }
 

@@ -284,7 +284,9 @@ Result<LightNeResult> RunLightNe(const G& g, const LightNeOptions& opt) {
     if (!sparsifier.ok()) return sparsifier.status();
     matrix = std::move(sparsifier->matrix);
     result.sparsifier_nnz_raw = matrix.nnz();
+    TraceSpan netmf_span("sparsifier/netmf");
     ApplyNetmfTransform(g, sopt.num_samples, opt.negative_samples, &matrix);
+    netmf_span.End();
     result.sparsifier_nnz = matrix.nnz();
     result.sparsifier_stats = std::move(*sparsifier);
     result.sparsifier_stats.matrix = SparseMatrix();

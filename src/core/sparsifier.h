@@ -1,6 +1,7 @@
 // Parallel sparsifier construction (§3.2 + §4.2 of the paper):
 // downsampled per-edge PathSampling (Algorithm 2) aggregated into the sparse
-// parallel hash table, then extracted as a symmetric SparseMatrix.
+// parallel hash table, then built straight from the table's slots into a
+// symmetric CSR SparseMatrix (internal::CanonicalToCsr).
 //
 // The estimator: with M the target number of path samples over the 2m
 // directed edges, each directed edge e = (u, v) draws
@@ -23,9 +24,11 @@
 #define LIGHTNE_CORE_SPARSIFIER_H_
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "core/aggregation.h"
@@ -38,10 +41,12 @@
 #include "parallel/concurrent_hash_table.h"
 #include "parallel/reduce.h"
 #include "parallel/scan.h"
+#include "parallel/scratch.h"
 #include "util/logging.h"
 #include "util/memory.h"
 #include "util/metrics.h"
 #include "util/status.h"
+#include "util/trace.h"
 
 namespace lightne {
 
@@ -151,9 +156,9 @@ double DownsampleProbability(const G& g, NodeId u, NodeId v, double c,
 /// record (hash-table overflow).
 ///
 /// The sparsifier is symmetric: only the canonical pair is emitted — half
-/// the aggregation traffic and memory — and mirrored at extraction. Diagonal
-/// hits carry double weight so the estimator matches the symmetrized
-/// two-insert scheme.
+/// the aggregation traffic and memory — and CanonicalToCsr mirrors it.
+/// Diagonal hits carry double weight so the estimator matches the
+/// symmetrized two-insert scheme.
 template <GraphView G, typename Sink>
 bool SampleVertexEdges(const G& g, const SparsifierOptions& opt,
                        double per_unit_weight, double c, uint64_t seed,
@@ -188,7 +193,7 @@ bool SampleVertexEdges(const G& g, const SparsifierOptions& opt,
       }
       ++*accepted;
       // Total matrix contribution of this sample is 2/p_e whether or not it
-      // hit the diagonal (off-diagonal entries are mirrored at extraction).
+      // hit the diagonal (off-diagonal entries are mirrored into the CSR).
       *mass_fp += MassFp(2.0 / pe);
     }
   });
@@ -351,8 +356,10 @@ void RunPerEdgeSamplingBuffered(const G& g, const SparsifierOptions& opt,
   stats->mass_fp = mass_total.load();
 }
 
-/// Mirrors canonical upper-triangle (key, weight) entries back to a full
-/// symmetric entry set (diagonal entries stay single).
+/// Test oracle for CanonicalToCsr: mirrors canonical upper-triangle
+/// (key, weight) entries back to a full symmetric entry set (diagonal entries
+/// stay single), for SparseMatrix::FromEntries to sort and sum. The build
+/// path never calls it.
 inline std::vector<std::pair<uint64_t, double>> MirrorCanonical(
     std::vector<std::pair<uint64_t, double>> canonical) {
   const size_t upper = canonical.size();
@@ -368,6 +375,126 @@ inline std::vector<std::pair<uint64_t, double>> MirrorCanonical(
     }
   }
   return canonical;
+}
+
+/// Builds the n x n symmetric sparsifier CSR straight from unique canonical
+/// (min, max)-keyed entries. `entry_at(i, &key, &value)` reads item i of
+/// [0, num_items) and returns false for an empty item (a free table slot);
+/// every canonical entry must appear exactly once. An off-diagonal entry
+/// fills (u, v) and its mirror (v, u); a diagonal entry fills (u, u) once.
+/// Four linear steps:
+///   1. per-row counts of both orientations;
+///   2. an exclusive scan of the counts into the row offsets;
+///   3. a scatter through per-row cursors;
+///   4. a per-row column sort. Columns within a row are distinct, so the
+///      result does not depend on the scatter order.
+/// Each worker scans a fixed slice of the items with private per-row
+/// counters and cursors (workers x n words), so neither pass issues a locked
+/// instruction: a locked add per entry would drain the store buffer and
+/// serialize the scatter's cache-missing stores. Each value is
+/// static_cast<float> of the entry's double, so the matrix is bit-identical
+/// to FromEntries(MirrorCanonical(entries)), whose sort-and-sum only
+/// reorders an already unique input.
+template <typename EntryAt>
+SparseMatrix BuildSymmetricCsr(NodeId n, uint64_t num_items,
+                               EntryAt&& entry_at) {
+  const uint64_t rows = n;
+  const uint64_t workers =
+      (InParallelRegion() || NumWorkers() <= 1) ? 1 : NumWorkers();
+  // Per-worker row counters, turned into per-worker row cursors by step 2.
+  std::vector<uint64_t> local(workers * rows, 0);
+  const auto for_each_in_slice = [&](int worker, int slices, auto&& fn) {
+    LIGHTNE_CHECK_EQ(static_cast<uint64_t>(slices), workers);
+    const uint64_t lo = num_items * worker / slices;
+    const uint64_t hi = num_items * (worker + 1) / slices;
+    uint64_t key;
+    double value;
+    for (uint64_t i = lo; i < hi; ++i) {
+      if (entry_at(i, &key, &value)) fn(key, value);
+    }
+  };
+  ParallelForWorkers([&](int worker, int slices) {
+    uint64_t* count = local.data() + worker * rows;
+    for_each_in_slice(worker, slices, [&](uint64_t key, double) {
+      const NodeId a = PackedSrc(key), b = PackedDst(key);
+      LIGHTNE_CHECK_LE(a, b);
+      LIGHTNE_CHECK_LT(b, n);
+      ++count[a];
+      if (a != b) ++count[b];
+    });
+  });
+  std::vector<uint64_t> offsets(rows + 1, 0);
+  ParallelFor(0, rows, [&](uint64_t row) {
+    uint64_t total = 0;
+    for (uint64_t w = 0; w < workers; ++w) {
+      const uint64_t count = local[w * rows + row];
+      local[w * rows + row] = total;
+      total += count;
+    }
+    offsets[row] = total;
+  });
+  const uint64_t nnz = ParallelScanExclusive(offsets.data(), offsets.size());
+  std::vector<uint32_t> cols(nnz);
+  std::vector<float> vals(nnz);
+  ParallelForWorkers([&](int worker, int slices) {
+    uint64_t* cursor = local.data() + worker * rows;
+    for_each_in_slice(worker, slices, [&](uint64_t key, double value) {
+      const NodeId a = PackedSrc(key), b = PackedDst(key);
+      const float v = static_cast<float>(value);
+      uint64_t k = offsets[a] + cursor[a]++;
+      cols[k] = b;
+      vals[k] = v;
+      if (a != b) {
+        k = offsets[b] + cursor[b]++;
+        cols[k] = a;
+        vals[k] = v;
+      }
+    });
+  });
+  // Sort each row by column, carrying the value: pack (col, value bits) into
+  // one 64-bit word so a plain integer sort orders by column.
+  ParallelFor(
+      0, rows,
+      [&](uint64_t row) {
+        const uint64_t lo = offsets[row];
+        const uint64_t len = offsets[row + 1] - lo;
+        if (len < 2) return;
+        ScratchArena::Scope scope(ScratchArena::ForCurrentThread());
+        uint64_t* packed = scope.AllocArray<uint64_t>(len);
+        for (uint64_t i = 0; i < len; ++i) {
+          packed[i] = (static_cast<uint64_t>(cols[lo + i]) << 32) |
+                      std::bit_cast<uint32_t>(vals[lo + i]);
+        }
+        std::sort(packed, packed + len);
+        for (uint64_t i = 0; i < len; ++i) {
+          cols[lo + i] = static_cast<uint32_t>(packed[i] >> 32);
+          vals[lo + i] =
+              std::bit_cast<float>(static_cast<uint32_t>(packed[i]));
+        }
+      },
+      /*grain=*/64);
+  return SparseMatrix::FromCsr(n, n, std::move(offsets), std::move(cols),
+                               std::move(vals));
+}
+
+/// The sparsifier from its finished hash table (the shared-table path).
+inline SparseMatrix CanonicalToCsr(NodeId n,
+                                   const ConcurrentHashTable<double>& table) {
+  return BuildSymmetricCsr(n, table.capacity(),
+                           [&](uint64_t i, uint64_t* key, double* value) {
+                             return table.ReadSlot(i, key, value);
+                           });
+}
+
+/// The sparsifier from a unique canonical entry list (the sort-histogram
+/// and batched-walk paths).
+inline SparseMatrix CanonicalToCsr(
+    NodeId n, const std::vector<std::pair<uint64_t, double>>& canonical) {
+  return BuildSymmetricCsr(n, canonical.size(),
+                           [&](uint64_t i, uint64_t* key, double* value) {
+                             std::tie(*key, *value) = canonical[i];
+                             return true;
+                           });
 }
 
 /// Poissonized support model: if `upserts` uniform draws over a support of
@@ -474,19 +601,22 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
   if (opt.aggregation == AggregationStrategy::kSortHistogram) {
     WorkerBuffers buffers(NumWorkers());
     internal::SamplerPassStats stats;
+    TraceSpan sample_span("sparsifier/sample_pass");
     internal::RunPerEdgeSamplingBuffered(g, opt, per_edge, c, opt.seed,
                                          walk_accel, &buffers, &stats);
+    sample_span.End();
     SparsifierResult result;
     result.samples_drawn = stats.drawn;
     result.samples_accepted = stats.accepted;
     result.mass_fp20 = stats.mass_fp;
     result.table_bytes = buffers.MemoryBytes();  // peak footprint
-    std::vector<std::pair<uint64_t, double>> canonical = buffers.Collapse();
+    TraceSpan csr_span("sparsifier/to_csr");
+    const std::vector<std::pair<uint64_t, double>> canonical =
+        buffers.Collapse();
     result.distinct_entries = canonical.size();
     result.downsample_constant_used = c;
-    result.matrix =
-        SparseMatrix::FromEntries(n, n, internal::MirrorCanonical(
-                                            std::move(canonical)));
+    result.matrix = internal::CanonicalToCsr(n, canonical);
+    csr_span.End();
     internal::RecordSparsifierMetrics(result, /*table_capacity=*/0);
     return result;
   }
@@ -500,6 +630,7 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
   constexpr double kPilotScale = 64.0;
   constexpr uint64_t kPilotThreshold = 1u << 20;
   if (expected_accepted > kPilotThreshold) {
+    TraceSpan pilot_span("sparsifier/pilot");
     const uint64_t pilot_hint = static_cast<uint64_t>(
         expected_accepted / kPilotScale * opt.table_slack) + 4096;
     // The pilot table is 1/64 of the main one; if even that does not fit
@@ -597,10 +728,14 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
               capacity_hint)) +
           ") exceeds the remaining memory budget after degradation");
     }
+    TraceSpan alloc_span("sparsifier/table_alloc");
     ConcurrentHashTable<double> table(capacity_hint);
+    alloc_span.End();
     internal::SamplerPassStats stats;
+    TraceSpan sample_span("sparsifier/sample_pass");
     const bool ok = internal::RunPerEdgeSampling(
         g, opt, per_edge, c, opt.seed, walk_accel, &table, &stats);
+    sample_span.End();
     if (!ok) {
       LIGHTNE_LOG_WARN(
           "sparsifier hash table overflowed (capacity %llu); retrying at 2x",
@@ -623,8 +758,9 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
     result.budget_tightenings = tightenings;
     result.capacity_capped = capacity_capped;
     result.downsample_constant_used = c;
-    result.matrix = SparseMatrix::FromEntries(
-        n, n, internal::MirrorCanonical(table.Extract()));
+    TraceSpan csr_span("sparsifier/to_csr");
+    result.matrix = internal::CanonicalToCsr(n, table);
+    csr_span.End();
     internal::RecordSparsifierMetrics(result, table.capacity());
     return result;
   }

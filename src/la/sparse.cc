@@ -59,6 +59,23 @@ SparseMatrix SparseMatrix::FromSortedTriplets(
   return m;
 }
 
+SparseMatrix SparseMatrix::FromCsr(uint64_t rows, uint64_t cols,
+                                   std::vector<uint64_t> row_offsets,
+                                   std::vector<uint32_t> col_indices,
+                                   std::vector<float> values) {
+  LIGHTNE_CHECK_EQ(row_offsets.size(), rows + 1);
+  LIGHTNE_CHECK_EQ(row_offsets.front(), 0u);
+  LIGHTNE_CHECK_EQ(row_offsets.back(), col_indices.size());
+  LIGHTNE_CHECK_EQ(col_indices.size(), values.size());
+  SparseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_offsets_ = std::move(row_offsets);
+  m.col_indices_ = std::move(col_indices);
+  m.values_ = std::move(values);
+  return m;
+}
+
 SparseMatrix SparseMatrix::FromEntries(
     uint64_t rows, uint64_t cols,
     std::vector<std::pair<uint64_t, double>> entries) {

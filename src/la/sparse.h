@@ -24,6 +24,14 @@ class SparseMatrix {
       uint64_t rows, uint64_t cols,
       const std::vector<std::pair<uint64_t, float>>& keyed_values);
 
+  /// Adopts finished CSR arrays: row_offsets has rows + 1 entries starting
+  /// at 0 and ending at nnz, and each row's columns are strictly increasing
+  /// and below `cols` (the caller's contract; only the shape is checked).
+  static SparseMatrix FromCsr(uint64_t rows, uint64_t cols,
+                              std::vector<uint64_t> row_offsets,
+                              std::vector<uint32_t> col_indices,
+                              std::vector<float> values);
+
   /// Builds from unsorted (packed_key, value) pairs, summing duplicates.
   /// packed_key = (row << 32) | col (see PackEdge). Sorts in parallel.
   static SparseMatrix FromEntries(

@@ -14,6 +14,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -43,7 +45,10 @@ class ConcurrentHashTable {
     capacity_ = 1;
     while (capacity_ < want) capacity_ <<= 1;
     mask_ = capacity_ - 1;
-    slots_ = std::make_unique<Slot[]>(capacity_);
+    // Raw storage: the slots are constructed by Clear(), in parallel, so the
+    // first touch of every page is spread over the workers.
+    slots_.reset(static_cast<Slot*>(::operator new(
+        capacity_ * sizeof(Slot), std::align_val_t{kSlotArrayAlign})));
     Clear();
   }
 
@@ -175,6 +180,17 @@ class ConcurrentHashTable {
     });
   }
 
+  /// Reads slot `i` (< capacity()): false if it is empty, else its key and
+  /// value. For callers that partition a scan of the slot array themselves
+  /// (the sparsifier's table-to-CSR build). Must not run concurrently with
+  /// Upsert.
+  bool ReadSlot(uint64_t i, uint64_t* key, V* value) const {
+    *key = slots_[i].key.load(std::memory_order_relaxed);
+    if (*key == kEmptyKey) return false;
+    *value = slots_[i].value.load(std::memory_order_relaxed);
+    return true;
+  }
+
   /// Extracts all (key, value) pairs (unordered), in parallel.
   std::vector<std::pair<uint64_t, V>> Extract() const {
     return ParallelPack<std::pair<uint64_t, V>>(
@@ -191,32 +207,34 @@ class ConcurrentHashTable {
   /// Resets the table to empty. Not thread-safe.
   void Clear() {
     ParallelFor(0, capacity_, [&](uint64_t i) {
-      slots_[i].key.store(kEmptyKey, std::memory_order_relaxed);
-      slots_[i].value.store(V{}, std::memory_order_relaxed);
+      new (&slots_[i]) Slot{kEmptyKey, V{}};
     });
     fill_.store(0, std::memory_order_relaxed);
     overflow_.store(false, std::memory_order_relaxed);
   }
 
  private:
-  // Layout choice: each slot is padded to its own cache line. The sparsifier
-  // ingestion path has every worker CAS-ing keys and fetch-adding values at
-  // hash-random slots; with the natural 16-byte layout four adjacent slots
-  // share one 64-byte line, so a hot slot's xadd traffic invalidates the
-  // line under three innocent neighbors (false sharing) and the probe
-  // cluster around any popular key serializes. A full line per slot makes
-  // every atomic RMW miss-or-own exactly one line. The 4x memory cost is
-  // deliberate and visible to the memory-budget governor, which sizes
-  // tables through sizeof(Slot) (MemoryBytes / ProjectedMemoryBytes), so
-  // budget degradation accounts for the padding automatically. The
-  // alternative — interleaving the hash so probe sequences stride across
-  // lines — keeps the memory but costs an extra line fetch per probe even
-  // when uncontended; ingestion throughput is the hot path, so we pad.
-  struct alignas(64) Slot {
+  // Layout choice: each slot is its natural 16 bytes, four to a cache line.
+  // Four neighbors sharing a line could false-share when workers hammer one
+  // hot key, but the sampler's per-worker combiner (parallel/combiner.h)
+  // absorbs repeat keys before they reach the table, so what arrives is a
+  // near-distinct stream scattered over a table far larger than cache.
+  // There a probe is one line miss whatever the slot size, and a padded
+  // slot would only spend 4x the memory (and the page-faulting to touch it)
+  // on lines that are rarely contended. The memory-budget governor sizes
+  // tables through sizeof(Slot) (MemoryBytes / ProjectedMemoryBytes).
+  struct Slot {
     std::atomic<uint64_t> key;
     std::atomic<V> value;
   };
-  static_assert(alignof(Slot) == 64, "slots must not share a cache line");
+  static_assert(sizeof(Slot) == 16, "slots are the unpadded 16-byte pair");
+  static_assert(std::is_trivially_destructible_v<Slot>);
+  static constexpr size_t kSlotArrayAlign = 64;
+  struct SlotArrayDelete {
+    void operator()(Slot* p) const {
+      ::operator delete(p, std::align_val_t{kSlotArrayAlign});
+    }
+  };
 
   static uint64_t Hash(uint64_t key) {
     uint64_t s = key;
@@ -235,7 +253,7 @@ class ConcurrentHashTable {
   double max_load_;
   uint64_t capacity_ = 0;
   uint64_t mask_ = 0;
-  std::unique_ptr<Slot[]> slots_;
+  std::unique_ptr<Slot[], SlotArrayDelete> slots_;
   std::atomic<uint64_t> fill_{0};
   std::atomic<bool> overflow_{false};
 };

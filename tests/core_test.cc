@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "data/generators.h"
 #include "graph/compressed.h"
 #include "graph/csr.h"
+#include "parallel/parallel_for.h"
 
 namespace lightne {
 namespace {
@@ -316,6 +318,129 @@ TEST(AggregationTest, StrategiesProduceIdenticalSparsifier) {
   ASSERT_EQ(hashed->matrix.nnz(), sorted->matrix.nnz());
   EXPECT_EQ(hashed->matrix.col_indices(), sorted->matrix.col_indices());
   EXPECT_EQ(hashed->matrix.values(), sorted->matrix.values());
+}
+
+// ---------------------------------------------------- table -> CSR build --
+
+// Bit-level equality of two CSR matrices (values compared as float bits).
+void ExpectSameCsr(const SparseMatrix& got, const SparseMatrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_offsets(), want.row_offsets());
+  EXPECT_EQ(got.col_indices(), want.col_indices());
+  ASSERT_EQ(got.values().size(), want.values().size());
+  EXPECT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                        got.values().size() * sizeof(float)),
+            0);
+}
+
+// The oracle: mirror the canonical entries, then sort and sum them.
+SparseMatrix OracleCsr(NodeId n,
+                       std::vector<std::pair<uint64_t, double>> canonical) {
+  return SparseMatrix::FromEntries(
+      n, n, internal::MirrorCanonical(std::move(canonical)));
+}
+
+uint64_t DiagonalEntries(const SparseMatrix& m) {
+  uint64_t count = 0;
+  for (uint64_t i = 0; i < m.rows(); ++i) {
+    for (uint32_t col : m.RowCols(i)) count += col == i ? 1 : 0;
+  }
+  return count;
+}
+
+uint64_t EmptyRows(const SparseMatrix& m) {
+  uint64_t count = 0;
+  for (uint64_t i = 0; i < m.rows(); ++i) {
+    count += m.row_offsets()[i] == m.row_offsets()[i + 1] ? 1 : 0;
+  }
+  return count;
+}
+
+// Differential check on real sampler output: one sampling pass into the
+// shared table (built pooled and under SequentialRegion) and the same pass
+// into per-worker lists collapsed by the sparse histogram. Every build must
+// be bit-identical to the oracle; returns the oracle for shape assertions.
+SparseMatrix ExpectBuilderMatchesOracle(const CsrGraph& g, uint32_t window,
+                                        uint64_t samples) {
+  SparsifierOptions opt;
+  opt.num_samples = samples;
+  opt.window = window;
+  opt.seed = 11;
+  const NodeId n = g.NumVertices();
+  const double c = std::log(static_cast<double>(n));
+  const double per_edge = static_cast<double>(samples) / g.Volume();
+  const WalkAccel<CsrGraph> accel = MakeWalkAccel(g, 0);
+
+  ConcurrentHashTable<double> table(2 * samples);
+  internal::SamplerPassStats stats;
+  EXPECT_TRUE(internal::RunPerEdgeSampling(g, opt, per_edge, c, opt.seed,
+                                           accel, &table, &stats));
+  SparseMatrix oracle = OracleCsr(n, table.Extract());
+  ExpectSameCsr(internal::CanonicalToCsr(n, table), oracle);
+  {
+    SequentialRegion sequential;
+    ExpectSameCsr(internal::CanonicalToCsr(n, table), oracle);
+  }
+
+  WorkerBuffers buffers(NumWorkers());
+  internal::SamplerPassStats buffered_stats;
+  internal::RunPerEdgeSamplingBuffered(g, opt, per_edge, c, opt.seed, accel,
+                                       &buffers, &buffered_stats);
+  const std::vector<std::pair<uint64_t, double>> canonical =
+      buffers.Collapse();
+  EXPECT_EQ(canonical.size(), table.NumEntries());
+  ExpectSameCsr(internal::CanonicalToCsr(n, canonical),
+                OracleCsr(n, canonical));
+  return oracle;
+}
+
+TEST(CanonicalToCsrTest, MirrorsOffDiagonalAndKeepsDiagonalSingle) {
+  // Vertex 4 is isolated; (0,0) and (2,2) are diagonal entries.
+  const std::vector<std::pair<uint64_t, double>> canonical = {
+      {PackEdge(1, 2), 0.25}, {PackEdge(0, 3), 1.5}, {PackEdge(2, 2), 4.0},
+      {PackEdge(0, 0), 2.0},  {PackEdge(0, 1), 3.0}};
+  const SparseMatrix m = internal::CanonicalToCsr(5, canonical);
+  EXPECT_EQ(m.row_offsets(), (std::vector<uint64_t>{0, 3, 5, 7, 8, 8}));
+  EXPECT_EQ(m.col_indices(),
+            (std::vector<uint32_t>{0, 1, 3, 0, 2, 1, 2, 0}));
+  EXPECT_EQ(m.values(), (std::vector<float>{2.0f, 3.0f, 1.5f, 3.0f, 0.25f,
+                                            0.25f, 4.0f, 1.5f}));
+  ExpectSameCsr(m, OracleCsr(5, canonical));
+
+  ConcurrentHashTable<double> table(16);
+  for (const auto& [key, value] : canonical) table.Upsert(key, value);
+  ExpectSameCsr(internal::CanonicalToCsr(5, table), m);
+  ExpectSameCsr(internal::CanonicalToCsr(5, {}), OracleCsr(5, {}));
+}
+
+TEST(CanonicalToCsrTest, MatchesOracleOnSkewedRmat) {
+  const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(12, 40000, 5));
+  const SparseMatrix oracle = ExpectBuilderMatchesOracle(g, 10, 400000);
+  EXPECT_GT(oracle.nnz(), 100000u);
+}
+
+TEST(CanonicalToCsrTest, MatchesOracleWithSelfLoopsAndDiagonalHits) {
+  // Self loops in the input (dropped by the CSR build) plus odd cycles:
+  // windows up to 4 return to their start often, hitting the diagonal.
+  EdgeList list;
+  list.num_vertices = 9;
+  for (NodeId v = 0; v < 9; ++v) list.Add(v, (v + 1) % 9);
+  list.Add(0, 4);
+  list.Add(2, 2);
+  list.Add(5, 5);
+  const CsrGraph g = CsrGraph::FromEdges(std::move(list));
+  const SparseMatrix oracle = ExpectBuilderMatchesOracle(g, 4, 20000);
+  EXPECT_GT(DiagonalEntries(oracle), 0u);
+}
+
+TEST(CanonicalToCsrTest, MatchesOracleWithIsolatedVertices) {
+  EdgeList list;
+  list.num_vertices = 64;  // vertices 24..63 have no edges: empty rows
+  for (NodeId v = 1; v < 24; ++v) list.Add(v % 5, v);
+  const CsrGraph g = CsrGraph::FromEdges(std::move(list));
+  const SparseMatrix oracle = ExpectBuilderMatchesOracle(g, 5, 30000);
+  EXPECT_GE(EmptyRows(oracle), 40u);
 }
 
 // -------------------------------------------------------- batched sampling --

@@ -129,6 +129,31 @@ TEST(HashTableTest, MemoryBytesScalesWithCapacity) {
   EXPECT_EQ(big.MemoryBytes() % big.capacity(), 0u);
 }
 
+// The slot is its natural 16-byte (key, value) pair, and the budget helpers
+// size tables at that slot size.
+TEST(HashTableTest, SlotsAreSixteenBytesAndSizingRoundTrips) {
+  for (uint64_t hint : {1ull, 100ull, 100000ull, 3000000ull}) {
+    ConcurrentHashTable<double> table(hint);
+    EXPECT_EQ(table.MemoryBytes(), table.capacity() * 16);
+    EXPECT_EQ(ConcurrentHashTable<double>::ProjectedMemoryBytes(hint),
+              table.MemoryBytes());
+  }
+  for (uint64_t budget : {512ull, 1000ull, 600000ull, 1ull << 20,
+                          (1ull << 20) + 5, 3ull << 20}) {
+    const uint64_t hint =
+        ConcurrentHashTable<double>::LargestHintFitting(budget);
+    ASSERT_GT(hint, 0u) << budget;
+    const uint64_t bytes =
+        ConcurrentHashTable<double>::ProjectedMemoryBytes(hint);
+    EXPECT_LE(bytes, budget);
+    EXPECT_GT(2 * bytes, budget);  // the largest power-of-two table fits
+    ConcurrentHashTable<double> table(hint);
+    EXPECT_EQ(table.MemoryBytes(), bytes);
+  }
+  // The smallest table (16 keys / 0.8 -> 32 slots) is 512 bytes.
+  EXPECT_EQ(ConcurrentHashTable<double>::LargestHintFitting(511), 0u);
+}
+
 // Property sweep: many (key-space, op-count) shapes, parallel counts always
 // exactly match a sequential recount.
 class HashTableProperty
