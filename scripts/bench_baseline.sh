@@ -23,6 +23,8 @@ cmake --build --preset release -j "${JOBS}" \
   --target bench_serving_baseline
 
 SHA="$(git rev-parse --short=12 HEAD)"
+# An artifact built from uncommitted changes says so in its stamp.
+git diff --quiet HEAD -- || SHA="${SHA}-dirty"
 LIGHTNE_GIT_SHA="${SHA}" ./build/bench/bench_kernels_baseline "${OUT}"
 LIGHTNE_GIT_SHA="${SHA}" ./build/bench/bench_sampler_baseline "${SAMPLER_OUT}"
 LIGHTNE_GIT_SHA="${SHA}" ./build/bench/bench_serving_baseline "${SERVING_OUT}"

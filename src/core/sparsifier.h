@@ -86,7 +86,7 @@ struct SparsifierOptions {
   uint32_t combiner_log2_slots = 13;
   /// Byte budget for the walk accelerator (graph/walk_cursor.h): on
   /// compressed graphs, the hub-pinned decode cache shared by all sampling
-  /// workers. 0 disables pinning (cold-tier batch decode still applies).
+  /// workers. 0 disables pinning (every draw then decodes its block).
   /// Pinning is a pure decode cache — the sparsifier is bit-identical with
   /// any value — so this is a perf/memory knob, not a semantic one. When a
   /// memory_budget governor is set, the actual footprint is reserved against
@@ -251,7 +251,7 @@ std::vector<NodeId> EdgeBalancedBoundaries(const G& g, uint64_t chunks) {
 /// statically round-robin — worker w takes chunks w, w+W, w+2W, ... — so
 /// which vertices share a worker (and a combiner) is a deterministic
 /// function of (graph, worker count), not of thread timing. Each worker owns
-/// one WalkContext (compressed-graph two-tier decode cache, fed by the
+/// one WalkContext (compressed-graph pinned-hub probe, fed by the
 /// phase-shared `accel`) and, when enabled, one SamplerCombiner flushed at
 /// pass end.
 template <GraphView G>
@@ -487,7 +487,7 @@ inline SparseMatrix CanonicalToCsr(NodeId n,
 }
 
 /// The sparsifier from a unique canonical entry list (the sort-histogram
-/// and batched-walk paths).
+/// path).
 inline SparseMatrix CanonicalToCsr(
     NodeId n, const std::vector<std::pair<uint64_t, double>>& canonical) {
   return BuildSymmetricCsr(n, canonical.size(),

@@ -55,11 +55,7 @@ CompressedGraph CompressedGraph::FromCsr(const CsrGraph& g,
   ParallelScanExclusive(cg.vertex_offset_.data() + 1, n);
   ParallelFor(0, n,
               [&](uint64_t v) { cg.vertex_offset_[v + 1] += sizes[v]; });
-  const uint64_t total_bytes = cg.vertex_offset_[n];
-  cg.encoded_bytes_ = total_bytes;
-  // Trailing slack keeps 16-byte SIMD loads in bounds even when a decode
-  // starts at the stream's last byte (graph/varint_simd.h contract).
-  cg.bytes_.resize(total_bytes + kVarintDecodeSlack);
+  cg.bytes_.resize(cg.vertex_offset_[n]);
 
   // Pass 2: encode in place.
   ParallelFor(
@@ -94,43 +90,9 @@ CompressedGraph CompressedGraph::FromCsr(const CsrGraph& g,
 }
 
 uint64_t CompressedGraph::DecodeBlock(NodeId v, uint64_t b, NodeId* out) const {
-  BlockCursor cur;
-  DecodeBlockPrefix(v, b, ~uint64_t{0}, out, &cur);
-  return cur.len;
-}
-
-uint64_t CompressedGraph::DecodeBlockPrefix(NodeId v, uint64_t b,
-                                            uint64_t upto, NodeId* out,
-                                            BlockCursor* cur) const {
-  const uint64_t d = degrees_[v];
-  const uint64_t nblocks = NumBlocks(d);
-  LIGHTNE_CHECK_LT(b, nblocks);
-  const uint8_t* p = BlockBytes(v, b);
-  const uint64_t in_block =
-      (b + 1 < nblocks) ? block_size_ : d - b * block_size_;
-  const int64_t running = static_cast<int64_t>(v) + DecodeZigzag(&p);
-  out[0] = static_cast<NodeId>(running);
-  cur->next = p;
-  cur->running = running;
-  cur->decoded = 1;
-  cur->len = static_cast<uint32_t>(in_block);
-  ExtendBlockPrefix(cur, upto, out);
-  return cur->decoded;
-}
-
-void CompressedGraph::ExtendBlockPrefix(BlockCursor* cur, uint64_t upto,
-                                        NodeId* out) const {
-  const uint64_t want = std::min<uint64_t>(upto, cur->len);
-  if (want <= cur->decoded) return;
-  // Fused difference-decode through the dispatched backend: varint decode
-  // and prefix sum in one pass, no staging buffer. Every decoded value is a
-  // node id (< NumVertices), so the uint32 accumulation the fused decoders
-  // use agrees exactly with the old int64 sweep, under every backend.
-  uint32_t base = static_cast<uint32_t>(cur->running);
-  cur->next = ActiveDeltaPrefixDecoder()(cur->next, want - cur->decoded,
-                                         &base, out + cur->decoded);
-  cur->running = static_cast<int64_t>(base);
-  cur->decoded = static_cast<uint32_t>(want);
+  LIGHTNE_CHECK_LT(b, NumBlocks(degrees_[v]));
+  uint64_t k = 0;
+  return MapBlock(v, b, [&](NodeId u) { out[k++] = u; });
 }
 
 CompressedGraph::HubCache CompressedGraph::HubCache::Build(

@@ -11,11 +11,6 @@
 // The paper chose block size 64 as the sweet spot between compressed size
 // and the latency of fetching arbitrary incident edges; that is the default
 // here and bench_compression reproduces the trade-off.
-//
-// Block decode dispatches to the SIMD batch varint decoder
-// (graph/varint_simd.h); the byte stream carries kVarintDecodeSlack readable
-// slack bytes so 16-byte SIMD loads starting at the last encoded byte are
-// always in bounds.
 #ifndef LIGHTNE_GRAPH_COMPRESSED_H_
 #define LIGHTNE_GRAPH_COMPRESSED_H_
 
@@ -25,7 +20,6 @@
 
 #include "graph/csr.h"
 #include "graph/types.h"
-#include "graph/varint_simd.h"
 #include "parallel/parallel_for.h"
 #include "util/check.h"
 #include "util/memory.h"
@@ -49,8 +43,8 @@ class CompressedGraph {
 
   uint64_t Degree(NodeId v) const { return degrees_[v]; }
 
-  /// Hints the loads a cold walk draw from v serializes on (degree, byte
-  /// offset) into cache without waiting. Both addresses depend only on v,
+  /// Hints the loads a walk draw from v serializes on (degree, byte offset)
+  /// into cache without waiting. Both addresses depend only on v,
   /// so a caller that must first resolve something else about v (e.g. probe
   /// a pin index) can overlap that work with these fetches. Pure hint:
   /// never changes results.
@@ -63,71 +57,15 @@ class CompressedGraph {
 #endif
   }
 
-  /// Second-stage hint: fetches the first line of v's encoded region (the
-  /// block-offset table, which for single-block rows is also where the
-  /// bytes start). Reads vertex_offset_[v] to form the address, so callers
-  /// should have issued PrefetchVertex(v) a little earlier. Pure hint.
-  void PrefetchRegion(NodeId v) const {
-#if defined(__GNUC__) || defined(__clang__)
-    const uint8_t* region = bytes_.data() + vertex_offset_[v];
-    __builtin_prefetch(region, /*rw=*/0, /*locality=*/2);
-    // Median rows span more than one line (offset table + ~1.5 B/neighbor
-    // of deltas), so fetch the second line too; rows shorter than that own
-    // the next row's bytes, making the extra line useful either way.
-    __builtin_prefetch(region + 64, /*rw=*/0, /*locality=*/2);
-#else
-    (void)v;
-#endif
-  }
-
   /// Decodes the i-th neighbor of v: locates the containing block via the
   /// offset table, then decodes at most block_size varints.
   NodeId Neighbor(NodeId v, uint64_t i) const;
 
   /// Decodes block `b` of vertex `v` in one pass into `out` (which must hold
   /// block_size() entries). Returns the number of neighbors decoded (the
-  /// block length; the last block of a vertex may be short). One batch
-  /// varint sweep through the dispatched decoder (graph/varint_simd.h) —
-  /// the batch-decode primitive the walk engine uses to amortize decode
-  /// cost when several draws land in the same block.
+  /// block length; the last block of a vertex may be short). HubCache::Build
+  /// fills its pinned pool through this.
   uint64_t DecodeBlock(NodeId v, uint64_t b, NodeId* out) const;
-
-  /// Resumable decode state for one block, owned by the caller alongside the
-  /// output buffer it was started against. The split points never change the
-  /// decoded values: the batch decoder consumes an exact varint count and
-  /// returns the exact stream position, so prefix + extensions reproduce
-  /// DecodeBlock byte-for-byte under every dispatch backend.
-  struct BlockCursor {
-    const uint8_t* next = nullptr;  ///< first undecoded varint byte
-    int64_t running = 0;            ///< value of the last decoded entry
-    uint32_t decoded = 0;           ///< entries decoded into the buffer
-    uint32_t len = 0;               ///< total entries in the block
-  };
-
-  /// Starts a resumable decode of block `b` of `v`: decodes the first
-  /// min(upto, block length) entries into `out` (which must hold
-  /// block_size() entries for later extension) and primes `cur` for
-  /// ExtendBlockPrefix. Returns the number of entries decoded (>= 1). This
-  /// is the walk cold tier's workhorse: a draw at index `i` pays one offset
-  /// walk plus `i+1` batch-decoded varints, never a full-block sweep, and
-  /// later draws extend from the saved stream position without re-touching
-  /// the offset tables.
-  uint64_t DecodeBlockPrefix(NodeId v, uint64_t b, uint64_t upto, NodeId* out,
-                             BlockCursor* cur) const;
-
-  /// Extends a started block decode to min(upto, block length) total
-  /// entries, appending to the same `out` the cursor was started with.
-  /// No-op when the prefix already covers `upto`.
-  void ExtendBlockPrefix(BlockCursor* cur, uint64_t upto, NodeId* out) const;
-
-  /// First encoded byte of block `b` of vertex `v`. Exposed for bench-local
-  /// decode baselines (bench_sampler_baseline keeps the retired lazy cursor
-  /// alive as a comparison row) and format tests; production decode goes
-  /// through Neighbor/DecodeBlock/MapNeighbors.
-  const uint8_t* BlockBytes(NodeId v, uint64_t b) const {
-    const uint8_t* region = bytes_.data() + vertex_offset_[v];
-    return region + BlockStart(region, NumBlocks(degrees_[v]), b);
-  }
 
   /// Permanently pinned decoded neighbor prefixes of the hottest vertices.
   ///
@@ -140,8 +78,8 @@ class CompressedGraph {
   /// row if it fits, else the largest block_size-aligned prefix that does,
   /// and the scan continues so smaller rows can fill what a giant hub could
   /// not. A pinned draw is a plain array read with no hashing, no varint
-  /// decode, and no possibility of eviction; draws past a pinned prefix fall
-  /// through to the cold tier. Built per sampling phase (see MakeWalkAccel
+  /// decode, and no possibility of eviction; every other draw decodes
+  /// through Neighbor(). Built per sampling phase (see MakeWalkAccel
   /// in graph/walk_cursor.h) and shared read-only by all worker contexts.
   ///
   /// Sizing: `byte_budget` caps the footprint — a compact open-addressing
@@ -267,22 +205,8 @@ class CompressedGraph {
   /// Applies fn(neighbor) over v's full (sorted) neighbor list.
   template <typename F>
   void MapNeighbors(NodeId v, F&& fn) const {
-    const uint64_t d = degrees_[v];
-    if (d == 0) return;
-    const uint8_t* region = bytes_.data() + vertex_offset_[v];
-    const uint64_t nblocks = NumBlocks(d);
-    for (uint64_t b = 0; b < nblocks; ++b) {
-      const uint8_t* p = region + BlockStart(region, nblocks, b);
-      const uint64_t in_block =
-          (b + 1 < nblocks) ? block_size_ : d - b * block_size_;
-      int64_t running =
-          static_cast<int64_t>(v) + DecodeZigzag(&p);
-      fn(static_cast<NodeId>(running));
-      for (uint64_t k = 1; k < in_block; ++k) {
-        running += static_cast<int64_t>(DecodeVarint(&p));
-        fn(static_cast<NodeId>(running));
-      }
-    }
+    const uint64_t nblocks = NumBlocks(degrees_[v]);
+    for (uint64_t b = 0; b < nblocks; ++b) MapBlock(v, b, fn);
   }
 
   /// Applies fn(u, v) over every directed edge, parallel over vertices.
@@ -303,19 +227,37 @@ class CompressedGraph {
                 [&](uint64_t v) { fn(static_cast<NodeId>(v)); });
   }
 
-  /// Total footprint: byte stream (incl. decode slack) + offsets + degrees.
+  /// Total footprint: byte stream + offsets + degrees.
   uint64_t SizeBytes() const {
     return bytes_.size() + vertex_offset_.size() * sizeof(uint64_t) +
            degrees_.size() * sizeof(NodeId);
   }
 
-  /// Bytes of the encoded neighbor stream alone (excludes the
-  /// kVarintDecodeSlack trailing slack kept for SIMD over-reads).
-  uint64_t EncodedBytes() const { return encoded_bytes_; }
+  /// Bytes of the encoded neighbor stream alone.
+  uint64_t EncodedBytes() const { return bytes_.size(); }
 
  private:
   uint64_t NumBlocks(uint64_t degree) const {
     return (degree + block_size_ - 1) / block_size_;
+  }
+
+  // Applies fn(neighbor) over block b of v in order; returns the block
+  // length. The scalar decode loop behind MapNeighbors and DecodeBlock.
+  template <typename F>
+  uint64_t MapBlock(NodeId v, uint64_t b, F&& fn) const {
+    const uint64_t d = degrees_[v];
+    const uint64_t nblocks = NumBlocks(d);
+    const uint8_t* region = bytes_.data() + vertex_offset_[v];
+    const uint8_t* p = region + BlockStart(region, nblocks, b);
+    const uint64_t in_block =
+        (b + 1 < nblocks) ? block_size_ : d - b * block_size_;
+    int64_t running = static_cast<int64_t>(v) + DecodeZigzag(&p);
+    fn(static_cast<NodeId>(running));
+    for (uint64_t k = 1; k < in_block; ++k) {
+      running += static_cast<int64_t>(DecodeVarint(&p));
+      fn(static_cast<NodeId>(running));
+    }
+    return in_block;
   }
 
   // Byte offset (relative to `region`) where block b starts. Block 0 begins
@@ -370,10 +312,9 @@ class CompressedGraph {
   NodeId num_vertices_ = 0;
   EdgeId num_directed_edges_ = 0;
   uint32_t block_size_ = 64;
-  uint64_t encoded_bytes_ = 0;  // bytes_.size() minus decode slack
   std::vector<NodeId> degrees_;
   std::vector<uint64_t> vertex_offset_;  // size n+1, into bytes_
-  std::vector<uint8_t> bytes_;  // encoded stream + kVarintDecodeSlack slack
+  std::vector<uint8_t> bytes_;  // encoded neighbor stream
 };
 
 }  // namespace lightne

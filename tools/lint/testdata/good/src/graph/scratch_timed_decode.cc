@@ -1,6 +1,6 @@
 // Clean: batch decode into a worker-local scratch arena, timed through
-// util/timer.h so the measurement can feed the walk/decode_block_us
-// histogram — no raw clocks, no raw locks.
+// util/timer.h so the measurement can feed a latency histogram — no raw
+// clocks, no raw locks.
 #include <cstdint>
 
 #include "parallel/scratch.h"
