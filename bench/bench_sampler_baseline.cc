@@ -1,27 +1,24 @@
-// Machine-readable sampler perf baseline (DESIGN.md §11), schema v4.
+// Machine-readable sampler perf baseline (DESIGN.md §11), schema v5.
 //
-// Measures the sparsifier ingestion hot path on a skewed RMAT graph —
-// combiner+edge-balanced scheduling vs the direct shared-table path at the
-// same worker count, plus a contended 4-thread shared-table row pair that
-// revalidates UpsertBatch's prefetch pipeline under real cross-thread
+// Measures the sparsifier ingestion hot path on a skewed RMAT graph — the
+// pipeline's batched shared-table pass at 1 and all workers, plus a
+// contended 4-thread shared-table row pair (plain Upsert vs UpsertBatch)
+// that justifies the batch's prefetch pipeline under real cross-thread
 // traffic — and the walk-step primitives: CSR, compressed decode (naive
-// per-draw and the hub-pinned WalkContext), weighted prefix-scan vs full
-// alias vs degree-gated alias, and an out-of-LLC RMAT-20 section where the
-// adjacency no longer fits any cache level. A cross-variant checksum matrix
-// — {naive, pinned} x {1, 4 threads} with per-start seeded RNGs and an
-// order-independent XOR reduction — proves the pinned tier is a pure
-// decode cache: any divergence fails the run. Writes a JSON trajectory
+// per-draw and the hub-pinned WalkContext), the weighted prefix-scan draw,
+// and an out-of-LLC RMAT-20 section where the adjacency no longer fits any
+// cache level. A cross-variant checksum matrix — {naive, pinned} x {1, 4
+// threads} with per-start seeded RNGs and an order-independent XOR
+// reduction — proves the pinned tier is a pure decode cache: any
+// divergence fails the run. Writes a JSON trajectory
 // artifact (default BENCH_sampler.json, overridable as argv[1]).
 // `scripts/bench_baseline.sh` re-runs this at scale 1.0 and commits the
 // result; scripts/check.sh runs a reduced-scale smoke and validates the
 // schema.
 //
-// The headline rows isolate aggregation cost: window=1 degenerates
-// PathSampling to returning the edge endpoints (no walk steps), so the pass
-// is RNG + key canonicalization + aggregation — the component the combiner
-// rewrites. The window=10 rows measure the full pipeline mix. Sampling rows
-// time internal::RunPerEdgeSampling into a pre-allocated table (cleared
-// between runs) so table sizing/extraction are excluded from the medians.
+// The sampling rows run the paper's window=10 mix and time
+// internal::RunPerEdgeSampling into a pre-allocated table (cleared between
+// runs) so table sizing/extraction are excluded from the medians.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -47,13 +44,6 @@
 namespace lightne::bench {
 namespace {
 
-// Degree gate for the gated weighted-sampling row: hubs (degree >= gate)
-// keep O(1) alias rows, the long tail of small vertices shares the compact
-// CDF path. 32 keeps the draw mix alias-dominated on the RMAT graph (draws
-// land on vertices with probability ~ degree) while the per-edge sampling
-// footprint drops from 20 bytes (cumulative + alias everywhere) to 8 + 4f.
-constexpr uint32_t kDegreeGate = 32;
-
 // Pin budget for the hub-pinned walk rows. On the cache-resident RMAT-14
 // graph this pins essentially every row (the decoded graph is ~3.6 MiB);
 // on the out-of-LLC graph it fits the per-vertex prefix index plus
@@ -63,9 +53,9 @@ constexpr uint64_t kPinBudget = uint64_t{4} << 20;
 constexpr uint64_t kPinBudgetXllc = uint64_t{16} << 20;
 
 struct ResultRow {
-  std::string name;     // stable key, e.g. "sampler_w1_combiner_mt"
+  std::string name;     // stable key, e.g. "sampler_w10_mt"
   std::string kind;     // sampling | walk
-  std::string variant;  // direct | combiner | csr | naive | pinned | ...
+  std::string variant;  // batch | contended_direct | csr | naive | ...
   int threads = 1;
   int runs = 0;
   double median_ms = 0.0;
@@ -90,22 +80,15 @@ void PrintRow(const ResultRow& r) {
 
 // ---------------------------------------------------------------- sampling
 
-struct SamplingConfig {
-  uint32_t window;
-  bool combiner;
-  uint64_t num_samples;
-};
-
 // Times one ingestion pass (table cleared between runs) and records an
 // events/sec row where the event count is the pass's accepted samples.
 void RecordSamplingRow(const std::string& name, const CsrGraph& g,
-                       const SamplingConfig& cfg, bool sequential, int runs) {
+                       uint64_t num_samples, bool sequential, int runs) {
   SparsifierOptions opt;
-  opt.num_samples = cfg.num_samples;
-  opt.window = cfg.window;
+  opt.num_samples = num_samples;
+  opt.window = 10;
   opt.downsample = false;  // every draw is accepted: pure ingestion load
   opt.seed = 7;
-  opt.combiner = cfg.combiner;
   const double per_edge =
       static_cast<double>(opt.num_samples) / g.Volume();
   const WalkAccel<CsrGraph> accel;  // no-op on direct-access graphs
@@ -117,7 +100,8 @@ void RecordSamplingRow(const std::string& name, const CsrGraph& g,
     table.Clear();
     internal::SamplerPassStats run_stats;
     if (!internal::RunPerEdgeSampling(g, opt, per_edge, /*c=*/1.0, opt.seed,
-                                      accel, &table, &run_stats)) {
+                                      accel, &table, /*buffers=*/nullptr,
+                                      &run_stats)) {
       std::fprintf(stderr, "%s: table overflowed\n", name.c_str());
       std::exit(1);
     }
@@ -126,7 +110,7 @@ void RecordSamplingRow(const std::string& name, const CsrGraph& g,
   ResultRow row;
   row.name = name;
   row.kind = "sampling";
-  row.variant = cfg.combiner ? "combiner" : "direct";
+  row.variant = "batch";
   if (sequential) {
     SequentialRegion guard;
     row.median_ms = MedianMs(runs, pass);
@@ -144,11 +128,11 @@ void RecordSamplingRow(const std::string& name, const CsrGraph& g,
 }
 
 // ------------------------------------------------ contended table upserts
-// UpsertBatch's hash-prefetch pipeline was tuned on single-threaded runs;
-// these rows revalidate it with kContendedThreads plain threads hammering
-// one shared table — the regime combiner flushes actually run in. The key
-// mix sends a quarter of traffic to 1K hot keys (flush bursts colliding on
-// popular edges) and the rest across ~1M cold keys (the hash-miss traffic
+// UpsertBatch's hash-prefetch pipeline is why every sampling worker batches
+// its records; these rows measure it with kContendedThreads plain threads
+// hammering one shared table, the regime the sampler's flushes run in. The
+// key mix sends a quarter of traffic to 1K hot keys (flush bursts colliding
+// on popular edges) and the rest across ~1M cold keys (the hash-miss traffic
 // the prefetch stage exists for). hw_cores is recorded in the JSON: on a
 // machine with fewer cores than threads the rows measure oversubscribed
 // interleaving rather than true parallel contention, and readers should
@@ -347,13 +331,6 @@ struct WalkCacheStats {
   uint64_t decode_misses = 0;
 };
 
-// Gated-alias memory accounting from two instances over the same edges.
-struct GatedAliasStats {
-  uint32_t degree_gate = 0;
-  uint64_t sampling_bytes_full = 0;   // cumulative + full alias table
-  uint64_t sampling_bytes_gated = 0;  // slot index + gated rows
-};
-
 // ------------------------------------------- cross-variant walk checksums
 // Proof rows for the "pure decode cache" contract: every combination of
 // tier {naive, pinned} and thread count {1, kChecksumThreads} must draw the
@@ -451,11 +428,8 @@ std::vector<ChecksumEntry> RunChecksumMatrix(
 
 void WriteJson(const std::string& path, const CsrGraph& g,
                const CsrGraph& g_xllc, const CompressedGraph& cg_xllc,
-               const SparsifierResult& direct_e2e,
-               const SparsifierResult& combiner_e2e,
                const WalkCacheStats& cache, const WalkCacheStats& xllc_cache,
-               const std::vector<ChecksumEntry>& checksums,
-               const GatedAliasStats& gated) {
+               const std::vector<ChecksumEntry>& checksums) {
   // Atomic write-tmp -> fsync -> rename: a crash or disk-full mid-write
   // never replaces a previous baseline file with torn JSON.
   AtomicFileWriter writer;
@@ -466,8 +440,8 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   std::FILE* f = writer.stream();
   const char* sha = std::getenv("LIGHTNE_GIT_SHA");
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"lightne-sampler-v4\",\n");
-  std::fprintf(f, "  \"schema_version\": 4,\n");
+  std::fprintf(f, "  \"schema\": \"lightne-sampler-v5\",\n");
+  std::fprintf(f, "  \"schema_version\": 5,\n");
   std::fprintf(f, "  \"git_sha\": \"%s\",\n", sha ? sha : "unknown");
   std::fprintf(f, "  \"workers\": %d,\n", NumWorkers());
   std::fprintf(f, "  \"bench_scale\": %.3f,\n", BenchScale());
@@ -500,33 +474,12 @@ void WriteJson(const std::string& path, const CsrGraph& g,
                  i + 1 < g_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  // End-to-end combiner effectiveness at the paper's window (w=10, with
-  // downsampling), from two full BuildSparsifier runs.
-  const double hit_rate =
-      combiner_e2e.samples_accepted > 0
-          ? static_cast<double>(combiner_e2e.combiner_hits) /
-                static_cast<double>(combiner_e2e.samples_accepted)
-          : 0.0;
-  std::fprintf(f, "  \"combiner\": {\n");
-  std::fprintf(f, "    \"samples_accepted\": %llu,\n",
-               static_cast<unsigned long long>(combiner_e2e.samples_accepted));
-  std::fprintf(f, "    \"hit_rate\": %.4f,\n", hit_rate);
-  std::fprintf(f, "    \"direct_table_upserts\": %llu,\n",
-               static_cast<unsigned long long>(direct_e2e.table_upserts));
-  std::fprintf(f, "    \"combiner_table_upserts\": %llu,\n",
-               static_cast<unsigned long long>(combiner_e2e.table_upserts));
-  std::fprintf(f, "    \"combiner_flushes\": %llu,\n",
-               static_cast<unsigned long long>(combiner_e2e.combiner_flushes));
-  std::fprintf(f, "    \"table_batch_upserts\": %llu\n",
-               static_cast<unsigned long long>(
-                   combiner_e2e.table_batch_upserts));
-  std::fprintf(f, "  },\n");
-  // The contended revalidation of UpsertBatch's prefetch pipeline: medians
+  // The contended measurement of UpsertBatch's prefetch pipeline: medians
   // of the two 4-thread shared-table rows plus the honest hardware context
   // (oversubscribed when hw_cores < threads).
   const double contended_direct = FindMs("sampler_contended_direct_4t");
   const double contended_batch = FindMs("sampler_contended_batch_4t");
-  std::fprintf(f, "  \"contended_combiner\": {\n");
+  std::fprintf(f, "  \"contended_upserts\": {\n");
   std::fprintf(f, "    \"threads\": %d,\n", kContendedThreads);
   std::fprintf(f, "    \"hw_cores\": %u,\n",
                std::thread::hardware_concurrency());
@@ -589,57 +542,31 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   }
   std::fprintf(f, "    ]\n");
   std::fprintf(f, "  },\n");
-  // Degree-gated alias memory accounting (same weighted edges both ways).
-  const double cut =
-      gated.sampling_bytes_full > 0
-          ? 100.0 * (1.0 - static_cast<double>(gated.sampling_bytes_gated) /
-                               static_cast<double>(gated.sampling_bytes_full))
-          : 0.0;
-  std::fprintf(f, "  \"gated_alias\": {\n");
-  std::fprintf(f, "    \"degree_gate\": %u,\n", gated.degree_gate);
-  std::fprintf(f, "    \"sampling_bytes_full\": %llu,\n",
-               static_cast<unsigned long long>(gated.sampling_bytes_full));
-  std::fprintf(f, "    \"sampling_bytes_gated\": %llu,\n",
-               static_cast<unsigned long long>(gated.sampling_bytes_gated));
-  std::fprintf(f, "    \"memory_cut_pct\": %.1f\n", cut);
-  std::fprintf(f, "  },\n");
   auto ratio = [&](const char* num, const char* den) {
     const double a = FindMs(num), b = FindMs(den);
     return (a > 0 && b > 0) ? a / b : -1.0;
   };
-  // The acceptance ratios this repo tracks. Surviving v3 keys are kept
+  // The acceptance ratios this repo tracks. Surviving v4 keys are kept
   // verbatim so trajectory tooling can diff across the schema bump.
   std::fprintf(f, "  \"speedups\": {\n");
-  std::fprintf(f, "    \"sampler_w1_combiner_vs_direct_mt\": %.3f,\n",
-               ratio("sampler_w1_direct_mt", "sampler_w1_combiner_mt"));
-  std::fprintf(f, "    \"sampler_w1_combiner_vs_direct_1t\": %.3f,\n",
-               ratio("sampler_w1_direct_1t", "sampler_w1_combiner_1t"));
-  std::fprintf(f, "    \"sampler_w10_combiner_vs_direct_mt\": %.3f,\n",
-               ratio("sampler_w10_direct_mt", "sampler_w10_combiner_mt"));
   std::fprintf(f, "    \"sampler_contended_batch_vs_direct\": %.3f,\n",
                ratio("sampler_contended_direct_4t",
                      "sampler_contended_batch_4t"));
   std::fprintf(f, "    \"walk_pinned_vs_naive_compressed\": %.3f,\n",
                ratio("walk_compressed_naive", "walk_compressed_pinned"));
-  std::fprintf(f, "    \"walk_pinned_vs_naive_xllc\": %.3f,\n",
+  std::fprintf(f, "    \"walk_pinned_vs_naive_xllc\": %.3f\n",
                ratio("walk_compressed_naive_xllc",
                      "walk_compressed_pinned_xllc"));
-  std::fprintf(f, "    \"walk_alias_vs_prefix_weighted\": %.3f,\n",
-               ratio("walk_weighted_prefix", "walk_weighted_alias"));
-  std::fprintf(f, "    \"walk_gated_vs_prefix_weighted\": %.3f\n",
-               ratio("walk_weighted_prefix", "walk_weighted_gated"));
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   if (!writer.Commit().ok()) {
     std::fprintf(stderr, "cannot commit %s\n", path.c_str());
     std::exit(1);
   }
-  std::printf(
-      "\nwrote %s (%zu results, pinned-vs-naive xllc %.2fx, gated cut "
-      "%.1f%%)\n",
-      path.c_str(), g_rows.size(),
-      ratio("walk_compressed_naive_xllc", "walk_compressed_pinned_xllc"),
-      cut);
+  std::printf("\nwrote %s (%zu results, pinned-vs-naive xllc %.2fx)\n",
+              path.c_str(), g_rows.size(),
+              ratio("walk_compressed_naive_xllc",
+                    "walk_compressed_pinned_xllc"));
 }
 
 }  // namespace
@@ -660,21 +587,11 @@ int main(int argc, char** argv) {
               g.NumVertices(),
               static_cast<unsigned long long>(g.NumDirectedEdges()));
 
-  // --- sampling ingestion (the tentpole rows) -----------------------------
-  std::printf("Sampling ingestion (window=1: aggregation-bound)\n");
-  // 16 samples per edge matches the paper's regime of M >> m and gives the
-  // run-length key stream the combiner is built for (n_e back-to-back
-  // samples of each edge).
-  const uint64_t m_w1 = 16 * g.NumDirectedEdges();
-  RecordSamplingRow("sampler_w1_direct_1t", g, {1, false, m_w1}, true, 3);
-  RecordSamplingRow("sampler_w1_combiner_1t", g, {1, true, m_w1}, true, 3);
-  RecordSamplingRow("sampler_w1_direct_mt", g, {1, false, m_w1}, false, 5);
-  RecordSamplingRow("sampler_w1_combiner_mt", g, {1, true, m_w1}, false, 5);
-
-  std::printf("\nSampling ingestion (window=10: full pipeline mix)\n");
+  // --- sampling ingestion --------------------------------------------------
+  std::printf("Sampling ingestion (window=10: full pipeline mix)\n");
   const uint64_t m_w10 = 2 * g.NumDirectedEdges();
-  RecordSamplingRow("sampler_w10_direct_mt", g, {10, false, m_w10}, false, 3);
-  RecordSamplingRow("sampler_w10_combiner_mt", g, {10, true, m_w10}, false, 3);
+  RecordSamplingRow("sampler_w10_1t", g, m_w10, true, 3);
+  RecordSamplingRow("sampler_w10_mt", g, m_w10, false, 3);
 
   std::printf("\nContended shared-table upserts (%d plain threads, "
               "%u hw cores)\n",
@@ -815,8 +732,7 @@ int main(int argc, char** argv) {
 
   // --- weighted draws -----------------------------------------------------
   // Same RMAT-14 topology with weights 1 + (u+v) % 8, skewed enough that
-  // prefix-scan binary search depth matters on hubs. Three instances over
-  // identical edges: prefix-only, full alias, degree-gated.
+  // the prefix-scan binary search depth matters on hubs.
   std::printf("\nWeighted draws (single thread)\n");
   WeightedEdgeList wlist;
   wlist.num_vertices = g.NumVertices();
@@ -829,79 +745,18 @@ int main(int argc, char** argv) {
       }
     });
   }
-  WeightedEdgeList wlist_gated = wlist;  // second instance, same edges
-  WeightedCsrGraph wg = WeightedCsrGraph::FromEdges(std::move(wlist));
-  const std::vector<NodeId>& wstarts = starts;  // same vertex ids, deg >= 1
-  RecordWalkRow("walk_weighted_prefix", "prefix_scan", wstarts, 3,
+  const WeightedCsrGraph wg = WeightedCsrGraph::FromEdges(std::move(wlist));
+  // Same vertex ids as `starts`, all of degree >= 1.
+  RecordWalkRow("walk_weighted_prefix", "prefix_scan", starts, 3,
                 [&](NodeId s, uint64_t steps, Rng& rng) {
                   NodeId v = s;
                   for (uint64_t k = 0; k < steps; ++k) {
-                    v = wg.SampleNeighborPrefixScan(v, rng);
+                    v = wg.SampleNeighbor(v, rng);
                   }
                   return v;
                 });
-  wg.BuildAliasTable();
-  RecordWalkRow("walk_weighted_alias", "alias", wstarts, 5,
-                [&](NodeId s, uint64_t steps, Rng& rng) {
-                  NodeId v = s;
-                  for (uint64_t k = 0; k < steps; ++k) {
-                    v = wg.SampleNeighborAlias(v, rng);
-                  }
-                  return v;
-                });
-  GatedAliasStats gated_stats;
-  {
-    WeightedCsrGraph wg_gated =
-        WeightedCsrGraph::FromEdges(std::move(wlist_gated));
-    wg_gated.BuildDegreeGatedAlias(kDegreeGate);
-    RecordWalkRow("walk_weighted_gated", "gated_alias", wstarts, 5,
-                  [&](NodeId s, uint64_t steps, Rng& rng) {
-                    NodeId v = s;
-                    for (uint64_t k = 0; k < steps; ++k) {
-                      v = wg_gated.SampleNeighbor(v, rng);
-                    }
-                    return v;
-                  });
-    gated_stats.degree_gate = wg_gated.degree_gate();
-    gated_stats.sampling_bytes_full = wg.SamplingBytes();
-    gated_stats.sampling_bytes_gated = wg_gated.SamplingBytes();
-    std::printf("  (gate %u: sampling bytes %.1f MiB -> %.1f MiB, "
-                "cut %.1f%%)\n",
-                wg_gated.degree_gate(),
-                static_cast<double>(gated_stats.sampling_bytes_full) /
-                    (1 << 20),
-                static_cast<double>(gated_stats.sampling_bytes_gated) /
-                    (1 << 20),
-                100.0 * (1.0 -
-                         static_cast<double>(gated_stats.sampling_bytes_gated) /
-                             static_cast<double>(
-                                 gated_stats.sampling_bytes_full)));
-  }
 
-  // --- end-to-end combiner accounting (window=10, downsampling on) --------
-  std::printf("\nEnd-to-end accounting (BuildSparsifier, w=10)\n");
-  SparsifierOptions e2e;
-  e2e.num_samples = m_w10;
-  e2e.window = 10;
-  e2e.seed = 5;
-  e2e.combiner = false;
-  auto direct_e2e = BuildSparsifier(g, e2e);
-  e2e.combiner = true;
-  auto combiner_e2e = BuildSparsifier(g, e2e);
-  if (!direct_e2e.ok() || !combiner_e2e.ok()) {
-    std::fprintf(stderr, "end-to-end sparsifier build failed\n");
-    return 1;
-  }
-  std::printf("  accepted %llu, combiner hit rate %.3f, upserts %llu -> %llu\n",
-              static_cast<unsigned long long>(combiner_e2e->samples_accepted),
-              combiner_e2e->samples_accepted
-                  ? static_cast<double>(combiner_e2e->combiner_hits) /
-                        static_cast<double>(combiner_e2e->samples_accepted)
-                  : 0.0,
-              static_cast<unsigned long long>(direct_e2e->table_upserts),
-              static_cast<unsigned long long>(combiner_e2e->table_upserts));
-
-  WriteJson(out, g, g_xllc, cg_xllc, *direct_e2e, *combiner_e2e, cache_stats,
-            xllc_cache_stats, checksums, gated_stats);
+  WriteJson(out, g, g_xllc, cg_xllc, cache_stats, xllc_cache_stats,
+            checksums);
   return 0;
 }

@@ -104,10 +104,10 @@ print(f"bench smoke OK: {len(doc['results'])} results, "
 EOF
 
 # Sampler hot-path smoke: run the sampler perf baseline at reduced scale
-# under the sanitizer build (exercising the combiner, UpsertBatch under
-# 4-thread contention, the hub-pinned walk tier, the cross-variant checksum
-# matrix, and the full/gated alias paths end to end) and validate the v4
-# JSON schema. The bench itself exits nonzero if any tier x thread-count
+# under the sanitizer build (exercising the batched shared-table pass,
+# UpsertBatch under 4-thread contention, the hub-pinned walk tier, the
+# cross-variant checksum matrix, and the weighted draw end to end) and
+# validate the v5 JSON schema. The bench itself exits nonzero if any tier x thread-count
 # walk checksum diverges; the validation below re-asserts the recorded
 # matrix for good measure.
 SAMPLER_JSON="$(mktemp /tmp/bench_sampler_smoke.XXXXXX.json)"
@@ -120,12 +120,11 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 for key in ("schema", "schema_version", "git_sha", "workers", "bench_scale",
-            "graph", "xllc_graph", "results", "combiner",
-            "contended_combiner", "walk_cache", "walk_cache_xllc",
-            "checksums", "gated_alias", "speedups"):
+            "graph", "xllc_graph", "results", "contended_upserts",
+            "walk_cache", "walk_cache_xllc", "checksums", "speedups"):
     assert key in doc, f"BENCH_sampler.json missing top-level key {key!r}"
-assert doc["schema"] == "lightne-sampler-v4"
-assert doc["schema_version"] == 4
+assert doc["schema"] == "lightne-sampler-v5"
+assert doc["schema_version"] == 5
 assert doc["results"], "BENCH_sampler.json has no results"
 for row in doc["results"]:
     for key in ("name", "kind", "variant", "threads", "runs", "median_ms",
@@ -133,20 +132,16 @@ for row in doc["results"]:
         assert key in row, f"result row missing key {key!r}: {row}"
     assert row["median_ms"] > 0, f"non-positive median in {row['name']}"
 names = {row["name"] for row in doc["results"]}
-for required in ("walk_compressed_naive", "walk_compressed_pinned",
+for required in ("sampler_w10_1t", "sampler_w10_mt",
+                 "walk_compressed_naive", "walk_compressed_pinned",
                  "walk_csr_xllc", "walk_compressed_naive_xllc",
-                 "walk_compressed_pinned_xllc", "walk_weighted_gated",
+                 "walk_compressed_pinned_xllc", "walk_weighted_prefix",
                  "sampler_contended_direct_4t", "sampler_contended_batch_4t"):
-    assert required in names, f"missing v4 result row {required!r}"
-for key in ("samples_accepted", "hit_rate", "direct_table_upserts",
-            "combiner_table_upserts", "combiner_flushes",
-            "table_batch_upserts"):
-    assert key in doc["combiner"], f"combiner block missing {key!r}"
-assert doc["combiner"]["samples_accepted"] > 0
+    assert required in names, f"missing v5 result row {required!r}"
 for key in ("threads", "hw_cores", "ops_per_thread", "batch_size",
             "direct_median_ms", "batch_median_ms", "batch_vs_direct"):
-    assert key in doc["contended_combiner"], \
-        f"contended_combiner block missing {key!r}"
+    assert key in doc["contended_upserts"], \
+        f"contended_upserts block missing {key!r}"
 for cache_key in ("walk_cache", "walk_cache_xllc"):
     for key in ("pin_budget_bytes", "pinned_vertices", "pinned_entries",
                 "pinned_bytes", "pin_hits", "decode_misses",
@@ -162,19 +157,12 @@ assert len({e["value"] for e in entries}) == 1, \
     "walk checksums differ across tiers / thread counts"
 assert {e["tier"] for e in entries} == {"naive", "pinned"}
 assert {e["threads"] for e in entries} == {1, 4}
-for key in ("degree_gate", "sampling_bytes_full", "sampling_bytes_gated",
-            "memory_cut_pct"):
-    assert key in doc["gated_alias"], f"gated_alias block missing {key!r}"
-assert doc["gated_alias"]["sampling_bytes_gated"] < \
-    doc["gated_alias"]["sampling_bytes_full"]
-for key in ("sampler_w1_combiner_vs_direct_mt",
-            "sampler_contended_batch_vs_direct",
-            "walk_pinned_vs_naive_compressed", "walk_pinned_vs_naive_xllc",
-            "walk_gated_vs_prefix_weighted"):
+for key in ("sampler_contended_batch_vs_direct",
+            "walk_pinned_vs_naive_compressed", "walk_pinned_vs_naive_xllc"):
     assert key in doc["speedups"], f"speedups missing {key!r}"
 print(f"sampler smoke OK: {len(doc['results'])} results, "
-      f"w1 combiner speedup "
-      f"{doc['speedups']['sampler_w1_combiner_vs_direct_mt']}x, "
+      f"contended batch speedup "
+      f"{doc['speedups']['sampler_contended_batch_vs_direct']}x, "
       f"xllc pinned walk speedup "
       f"{doc['speedups']['walk_pinned_vs_naive_xllc']}x, "
       f"checksum matrix {len(entries)} variants all equal")

@@ -39,9 +39,9 @@ constexpr uint32_t kSchemaVersion = 1;
 #endif
 
 // ---- stats frame --------------------------------------------------------
-// CheckpointedPipelineStats as 16 little-endian u64 words in declaration
+// CheckpointedPipelineStats as 14 little-endian u64 words in declaration
 // order (doubles bit-cast). A fixed word count makes truncation detectable.
-constexpr uint64_t kStatsWords = 16;
+constexpr uint64_t kStatsWords = 14;
 
 std::vector<uint8_t> EncodeStats(const CheckpointedPipelineStats& s) {
   const uint64_t words[kStatsWords] = {
@@ -56,8 +56,6 @@ std::vector<uint8_t> EncodeStats(const CheckpointedPipelineStats& s) {
       std::bit_cast<uint64_t>(s.downsample_constant_used),
       s.mass_fp20,
       s.table_upserts,
-      s.combiner_hits,
-      s.combiner_flushes,
       s.table_batch_upserts,
       s.sparsifier_nnz_raw,
       s.sparsifier_nnz,
@@ -83,11 +81,9 @@ bool DecodeStats(const std::vector<uint8_t>& bytes,
   s->downsample_constant_used = std::bit_cast<double>(words[8]);
   s->mass_fp20 = words[9];
   s->table_upserts = words[10];
-  s->combiner_hits = words[11];
-  s->combiner_flushes = words[12];
-  s->table_batch_upserts = words[13];
-  s->sparsifier_nnz_raw = words[14];
-  s->sparsifier_nnz = words[15];
+  s->table_batch_upserts = words[11];
+  s->sparsifier_nnz_raw = words[12];
+  s->sparsifier_nnz = words[13];
   return true;
 }
 
@@ -534,38 +530,34 @@ bool CheckpointManager::LoadSparsifier(SparseMatrix* matrix,
     }
     std::vector<uint64_t> row_offsets(rows + 1);
     std::memcpy(row_offsets.data(), offsets->data(), offsets->size());
-    // Rebuild the strictly-increasing (row << 32 | col, value) stream
-    // FromSortedTriplets expects, re-validating the CSR invariants so a
+    // Re-validate the CSR invariants FromCsr's contract assumes, so a
     // corruption mode the checksum happens to miss degrades to recompute
-    // instead of tripping a CHECK.
+    // instead of a malformed matrix.
     if (row_offsets[0] != 0 || row_offsets[rows] != nnz) {
       return Status::DataLoss(path + " has inconsistent row offsets");
     }
-    std::vector<std::pair<uint64_t, float>> keyed(nnz);
-    const uint8_t* col_bytes = cols_frame->data();
-    const uint8_t* val_bytes = values->data();
-    uint64_t prev_key = 0;
+    std::vector<uint32_t> col_indices(nnz);
+    std::memcpy(col_indices.data(), cols_frame->data(), cols_frame->size());
     for (uint64_t i = 0; i < rows; ++i) {
-      if (row_offsets[i] > row_offsets[i + 1]) {
+      // A middle offset past nnz would index beyond the arrays before the
+      // decrease back to nnz shows.
+      if (row_offsets[i] > row_offsets[i + 1] || row_offsets[i + 1] > nnz) {
         return Status::DataLoss(path + " has decreasing row offsets");
       }
       for (uint64_t k = row_offsets[i]; k < row_offsets[i + 1]; ++k) {
-        uint32_t col;
-        float value;
-        std::memcpy(&col, col_bytes + k * sizeof(uint32_t), sizeof(col));
-        std::memcpy(&value, val_bytes + k * sizeof(float), sizeof(value));
-        if (col >= cols) {
+        if (col_indices[k] >= cols) {
           return Status::DataLoss(path + " has an out-of-range column");
         }
-        const uint64_t key = (i << 32) | col;
-        if (k > 0 && key <= prev_key) {
+        if (k > row_offsets[i] && col_indices[k] <= col_indices[k - 1]) {
           return Status::DataLoss(path + " has unsorted entries");
         }
-        prev_key = key;
-        keyed[k] = {key, value};
       }
     }
-    *matrix = SparseMatrix::FromSortedTriplets(rows, cols, keyed);
+    std::vector<float> row_values(nnz);
+    std::memcpy(row_values.data(), values->data(), values->size());
+    *matrix = SparseMatrix::FromCsr(rows, cols, std::move(row_offsets),
+                                    std::move(col_indices),
+                                    std::move(row_values));
     return Status::Ok();
   }();
   if (!loaded.ok()) {

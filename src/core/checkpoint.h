@@ -62,8 +62,6 @@ struct CheckpointedPipelineStats {
   double downsample_constant_used = 0.0;
   uint64_t mass_fp20 = 0;
   uint64_t table_upserts = 0;
-  uint64_t combiner_hits = 0;
-  uint64_t combiner_flushes = 0;
   uint64_t table_batch_upserts = 0;
   uint64_t sparsifier_nnz_raw = 0;
   uint64_t sparsifier_nnz = 0;

@@ -45,10 +45,6 @@ struct LightNeOptions {
   uint64_t num_samples = 0;
   /// Edge downsampling (§3.2). Off = plain NetSMF sampling.
   bool downsample = true;
-  /// Per-worker software combiner in front of the sampler's shared hash
-  /// table (see SparsifierOptions::combiner). Counters and the sparsity
-  /// pattern are bit-identical either way; off = the direct-upsert path.
-  bool sampler_combiner = true;
   /// Byte budget for the sampler's hub-pinned decode cache on compressed
   /// graphs (see SparsifierOptions::walk_pin_budget_bytes). A pure decode
   /// cache — the embedding is bit-identical at any value; 0 disables
@@ -122,7 +118,6 @@ inline uint64_t CheckpointOptionsFingerprint(const LightNeOptions& opt) {
   mix(std::bit_cast<uint64_t>(opt.samples_ratio));
   mix(opt.num_samples);
   mix(opt.downsample ? 1 : 0);
-  mix(opt.sampler_combiner ? 1 : 0);
   // walk_pin_budget_bytes is deliberately excluded: the hub-pinned decode
   // cache cannot change any sampled value, only how fast it decodes.
   mix(std::bit_cast<uint64_t>(opt.downsample_constant));
@@ -169,8 +164,6 @@ inline CheckpointedPipelineStats CheckpointStatsFromResult(
   out.downsample_constant_used = s.downsample_constant_used;
   out.mass_fp20 = s.mass_fp20;
   out.table_upserts = s.table_upserts;
-  out.combiner_hits = s.combiner_hits;
-  out.combiner_flushes = s.combiner_flushes;
   out.table_batch_upserts = s.table_batch_upserts;
   out.sparsifier_nnz_raw = result.sparsifier_nnz_raw;
   out.sparsifier_nnz = result.sparsifier_nnz;
@@ -191,8 +184,6 @@ inline void ApplyCheckpointStats(const CheckpointedPipelineStats& stats,
   s.downsample_constant_used = stats.downsample_constant_used;
   s.mass_fp20 = stats.mass_fp20;
   s.table_upserts = stats.table_upserts;
-  s.combiner_hits = stats.combiner_hits;
-  s.combiner_flushes = stats.combiner_flushes;
   s.table_batch_upserts = stats.table_batch_upserts;
   result->sparsifier_nnz_raw = stats.sparsifier_nnz_raw;
   result->sparsifier_nnz = stats.sparsifier_nnz;
@@ -278,7 +269,6 @@ Result<LightNeResult> RunLightNe(const G& g, const LightNeOptions& opt) {
     sopt.downsample_constant = opt.downsample_constant;
     sopt.seed = opt.seed;
     sopt.memory_budget = budget.limited() ? &budget : nullptr;
-    sopt.combiner = opt.sampler_combiner;
     sopt.walk_pin_budget_bytes = opt.walk_pin_budget_bytes;
     auto sparsifier = BuildSparsifier(g, sopt);
     if (!sparsifier.ok()) return sparsifier.status();

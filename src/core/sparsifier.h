@@ -27,7 +27,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -37,7 +36,6 @@
 #include "graph/walk_cursor.h"
 #include "graph/weights.h"
 #include "la/sparse.h"
-#include "parallel/combiner.h"
 #include "parallel/concurrent_hash_table.h"
 #include "parallel/reduce.h"
 #include "parallel/scan.h"
@@ -75,15 +73,6 @@ struct SparsifierOptions {
   /// kResourceExhausted is returned only when no degradation fits. Null or
   /// unlimited = the exact paper behavior.
   MemoryBudget* memory_budget = nullptr;
-  /// Per-worker software combiner in front of the shared hash table
-  /// (parallel/combiner.h). Pre-aggregates repeated keys locally so only
-  /// distinct-ish records pay a global atomic + cache miss. Off = every
-  /// accepted sample upserts the shared table directly (the pre-combiner
-  /// behavior, kept as the equivalence/bench reference). Integer counters
-  /// and the distinct-key set are bit-identical either way.
-  bool combiner = true;
-  /// log2 of the per-worker combiner slot count (13 -> 8192 slots, 128 KiB).
-  uint32_t combiner_log2_slots = 13;
   /// Byte budget for the walk accelerator (graph/walk_cursor.h): on
   /// compressed graphs, the hub-pinned decode cache shared by all sampling
   /// workers. 0 disables pinning (every draw then decodes its block).
@@ -116,15 +105,10 @@ struct SparsifierResult {
   /// bit-identical across worker counts — the measurement channel for the
   /// edge-count-conservation property test.
   uint64_t mass_fp20 = 0;
-  /// Records delivered to the shared hash table by the final pass. Without
-  /// the combiner this equals samples_accepted; with it, duplicates merged
-  /// locally never reach the table, so the ratio is the combiner's win.
+  /// Records delivered to the shared hash table by the final pass: one per
+  /// accepted sample (0 for the kSortHistogram ablation, which has no table).
   uint64_t table_upserts = 0;
-  /// Combiner records merged into a resident entry (0 with combiner off).
-  uint64_t combiner_hits = 0;
-  /// Combiner Flush() drains (one per worker per pass, plus retries).
-  uint64_t combiner_flushes = 0;
-  /// UpsertBatch calls issued by combiner flushes/evictions.
+  /// UpsertBatch calls that delivered them.
   uint64_t table_batch_upserts = 0;
 };
 
@@ -201,16 +185,13 @@ bool SampleVertexEdges(const G& g, const SparsifierOptions& opt,
 }
 
 /// Exact integer counters of one sampling pass. `drawn`, `accepted` and
-/// `mass_fp` are bit-identical across worker counts and combiner settings;
-/// the remaining fields describe how the records reached the shared table.
+/// `mass_fp` are bit-identical across worker counts and aggregation
+/// strategies.
 struct SamplerPassStats {
   uint64_t drawn = 0;
   uint64_t accepted = 0;
   uint64_t mass_fp = 0;
-  uint64_t table_upserts = 0;   // records delivered to the shared table
-  uint64_t combiner_hits = 0;
-  uint64_t combiner_flushes = 0;
-  uint64_t batch_upserts = 0;
+  uint64_t batch_upserts = 0;  // UpsertBatch calls (shared-table pass only)
 };
 
 /// Degree-aware scheduling: partitions [0, n) into `chunks` contiguous
@@ -244,22 +225,29 @@ std::vector<NodeId> EdgeBalancedBoundaries(const G& g, uint64_t chunks) {
   return bounds;
 }
 
-/// One full pass of Algorithm 2 into the shared hash table (the paper's
-/// strategy). Returns false if the table overflowed mid-run.
+/// Records a sampling worker buffers before handing them to
+/// ConcurrentHashTable::UpsertBatch (1 KiB of records), whose prefetch stage
+/// overlaps the probe cache misses of a whole batch.
+inline constexpr uint32_t kUpsertBatch = 64;
+
+/// One full pass of Algorithm 2. Accepted records go to the shared hash
+/// table (the paper's strategy) when `table` is set, else to the per-worker
+/// `buffers` of the kSortHistogram ablation (the GBBS sparse histogram the
+/// paper considered, §4.2). Returns false iff the table overflowed mid-run.
 ///
 /// Scheduling: edge-balanced chunks (kChunksPerWorker per worker) assigned
 /// statically round-robin — worker w takes chunks w, w+W, w+2W, ... — so
-/// which vertices share a worker (and a combiner) is a deterministic
-/// function of (graph, worker count), not of thread timing. Each worker owns
-/// one WalkContext (compressed-graph pinned-hub probe, fed by the
-/// phase-shared `accel`) and, when enabled, one SamplerCombiner flushed at
-/// pass end.
+/// which vertices share a worker is a deterministic function of (graph,
+/// worker count), not of thread timing. Each worker owns one WalkContext
+/// (compressed-graph pinned-hub probe, fed by the phase-shared `accel`) and
+/// one kUpsertBatch-record batch, flushed when full and at pass end.
 template <GraphView G>
 bool RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
                         double per_edge, double c, uint64_t seed,
                         const WalkAccel<G>& accel,
                         ConcurrentHashTable<double>* table,
-                        SamplerPassStats* stats) {
+                        WorkerBuffers* buffers, SamplerPassStats* stats) {
+  LIGHTNE_CHECK((table == nullptr) != (buffers == nullptr));
   const NodeId n = g.NumVertices();
   constexpr uint64_t kChunksPerWorker = 8;
   const uint64_t workers_hint =
@@ -270,90 +258,47 @@ bool RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
   std::atomic<uint64_t> drawn_total{0};
   std::atomic<uint64_t> accepted_total{0};
   std::atomic<uint64_t> mass_total{0};
-  std::atomic<uint64_t> upserts_total{0};
-  std::atomic<uint64_t> hits_total{0};
-  std::atomic<uint64_t> flushes_total{0};
   std::atomic<uint64_t> batches_total{0};
   ParallelForWorkers([&](int worker, int workers) {
     WalkContext<G> ctx(accel);
-    std::optional<SamplerCombiner> combiner;
-    if (opt.combiner) combiner.emplace(table, opt.combiner_log2_slots);
+    std::pair<uint64_t, double> batch[kUpsertBatch];
+    uint32_t fill = 0;
     uint64_t local_drawn = 0, local_accepted = 0, local_mass = 0;
-    uint64_t local_direct = 0;
-    bool ok = true;
-    auto sink = [&](uint64_t key, double w) {
-      if (combiner) return combiner->Add(key, w);
-      ++local_direct;
-      return table->Upsert(key, w);
+    uint64_t local_batches = 0;
+    const auto flush = [&] {
+      ++local_batches;
+      const bool flushed = table->UpsertBatch(batch, fill);
+      fill = 0;
+      return flushed;
     };
+    const auto sink = [&](uint64_t key, double w) {
+      if (table == nullptr) {
+        buffers->Add(worker, key, w);
+        return true;
+      }
+      batch[fill++] = {key, w};
+      return fill < kUpsertBatch || flush();
+    };
+    bool ok = true;
     for (uint64_t chunk = static_cast<uint64_t>(worker);
          ok && chunk < chunks; chunk += static_cast<uint64_t>(workers)) {
-      if (table->overflowed()) break;
+      if (table != nullptr && table->overflowed()) break;
       for (NodeId u = bounds[chunk]; ok && u < bounds[chunk + 1]; ++u) {
         ok = SampleVertexEdges(g, opt, per_edge, c, seed, u, ctx, sink,
                                &local_drawn, &local_accepted, &local_mass);
       }
     }
-    if (combiner) {
-      combiner->Flush();  // overflow surfaces via table->overflowed()
-      const SamplerCombiner::Stats& cs = combiner->stats();
-      local_direct = cs.flushed_records;
-      hits_total.fetch_add(cs.hits, std::memory_order_relaxed);
-      flushes_total.fetch_add(cs.flushes, std::memory_order_relaxed);
-      batches_total.fetch_add(cs.batch_upserts, std::memory_order_relaxed);
-    }
+    if (fill > 0) flush();  // overflow surfaces via table->overflowed()
     drawn_total.fetch_add(local_drawn, std::memory_order_relaxed);
     accepted_total.fetch_add(local_accepted, std::memory_order_relaxed);
     mass_total.fetch_add(local_mass, std::memory_order_relaxed);
-    upserts_total.fetch_add(local_direct, std::memory_order_relaxed);
+    batches_total.fetch_add(local_batches, std::memory_order_relaxed);
   });
   stats->drawn = drawn_total.load();
   stats->accepted = accepted_total.load();
   stats->mass_fp = mass_total.load();
-  stats->table_upserts = upserts_total.load();
-  stats->combiner_hits = hits_total.load();
-  stats->combiner_flushes = flushes_total.load();
   stats->batch_upserts = batches_total.load();
-  return !table->overflowed();
-}
-
-/// One full pass of Algorithm 2 into per-worker record buffers (the
-/// considered alternative — GBBS sparse histogram, §4.2). Never fails.
-/// Buffers are strictly per-worker, so the combiner would add nothing here;
-/// the pass still gets the decode cursor and per-worker counters.
-template <GraphView G>
-void RunPerEdgeSamplingBuffered(const G& g, const SparsifierOptions& opt,
-                                double per_edge, double c, uint64_t seed,
-                                const WalkAccel<G>& accel,
-                                WorkerBuffers* buffers,
-                                SamplerPassStats* stats) {
-  const NodeId n = g.NumVertices();
-  std::atomic<uint64_t> drawn_total{0};
-  std::atomic<uint64_t> accepted_total{0};
-  std::atomic<uint64_t> mass_total{0};
-  ParallelForWorkers([&](int worker, int workers) {
-    const NodeId lo =
-        static_cast<NodeId>(static_cast<uint64_t>(n) * worker / workers);
-    const NodeId hi =
-        static_cast<NodeId>(static_cast<uint64_t>(n) * (worker + 1) / workers);
-    WalkContext<G> ctx(accel);
-    uint64_t local_drawn = 0, local_accepted = 0, local_mass = 0;
-    for (NodeId u = lo; u < hi; ++u) {
-      SampleVertexEdges(
-          g, opt, per_edge, c, seed, u, ctx,
-          [&](uint64_t key, double w) {
-            buffers->Add(worker, key, w);
-            return true;
-          },
-          &local_drawn, &local_accepted, &local_mass);
-    }
-    drawn_total.fetch_add(local_drawn, std::memory_order_relaxed);
-    accepted_total.fetch_add(local_accepted, std::memory_order_relaxed);
-    mass_total.fetch_add(local_mass, std::memory_order_relaxed);
-  });
-  stats->drawn = drawn_total.load();
-  stats->accepted = accepted_total.load();
-  stats->mass_fp = mass_total.load();
+  return table == nullptr || !table->overflowed();
 }
 
 /// Test oracle for CanonicalToCsr: mirrors canonical upper-triangle
@@ -533,8 +478,6 @@ inline void RecordSparsifierMetrics(const SparsifierResult& r,
   m.GetCounter("sparsifier/budget_tightenings")
       ->Add(static_cast<uint64_t>(r.budget_tightenings));
   m.GetCounter("sparsifier/table_upserts")->Add(r.table_upserts);
-  m.GetCounter("sparsifier/combiner_hits")->Add(r.combiner_hits);
-  m.GetCounter("sparsifier/combiner_flushes")->Add(r.combiner_flushes);
   m.GetCounter("sparsifier/table_batch_upserts")->Add(r.table_batch_upserts);
   m.GetGauge("sparsifier/distinct_entries")->Set(r.distinct_entries);
   m.GetGauge("sparsifier/table_bytes")->Set(r.table_bytes);
@@ -602,8 +545,8 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
     WorkerBuffers buffers(NumWorkers());
     internal::SamplerPassStats stats;
     TraceSpan sample_span("sparsifier/sample_pass");
-    internal::RunPerEdgeSamplingBuffered(g, opt, per_edge, c, opt.seed,
-                                         walk_accel, &buffers, &stats);
+    internal::RunPerEdgeSampling(g, opt, per_edge, c, opt.seed, walk_accel,
+                                 /*table=*/nullptr, &buffers, &stats);
     sample_span.End();
     SparsifierResult result;
     result.samples_drawn = stats.drawn;
@@ -643,7 +586,8 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
       internal::SamplerPassStats pilot_stats;
       if (internal::RunPerEdgeSampling(g, opt, per_edge / kPilotScale, c,
                                        opt.seed ^ 0x9107ull, walk_accel,
-                                       &pilot, &pilot_stats)) {
+                                       &pilot, /*buffers=*/nullptr,
+                                       &pilot_stats)) {
         distinct_estimate = internal::ExtrapolateDistinct(
             static_cast<double>(pilot_stats.accepted),
             static_cast<double>(pilot.NumEntries()), kPilotScale);
@@ -734,7 +678,8 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
     internal::SamplerPassStats stats;
     TraceSpan sample_span("sparsifier/sample_pass");
     const bool ok = internal::RunPerEdgeSampling(
-        g, opt, per_edge, c, opt.seed, walk_accel, &table, &stats);
+        g, opt, per_edge, c, opt.seed, walk_accel, &table,
+        /*buffers=*/nullptr, &stats);
     sample_span.End();
     if (!ok) {
       LIGHTNE_LOG_WARN(
@@ -747,9 +692,7 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
     result.samples_drawn = stats.drawn;
     result.samples_accepted = stats.accepted;
     result.mass_fp20 = stats.mass_fp;
-    result.table_upserts = stats.table_upserts;
-    result.combiner_hits = stats.combiner_hits;
-    result.combiner_flushes = stats.combiner_flushes;
+    result.table_upserts = stats.accepted;
     result.table_batch_upserts = stats.batch_upserts;
     result.distinct_entries = table.NumEntries();
     result.table_bytes = table.MemoryBytes();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "parallel/scratch.h"
 #include "parallel/sort.h"
 
 namespace lightne {
@@ -67,127 +66,6 @@ WeightedCsrGraph WeightedCsrGraph::FromEdges(WeightedEdgeList list) {
   }
   g.total_weight_ = total;
   return g;
-}
-
-void WeightedCsrGraph::BuildAliasRow(uint64_t lo, uint64_t d, double total,
-                                     double* prob, NodeId* idx) const {
-  // Vose's method: scale probabilities by d, then pair each column whose
-  // scaled mass is < 1 ("small") with one that is >= 1 ("large"), donating
-  // the large column's excess. Two index stacks, O(d) time, numerically
-  // safe: residual error only ever shifts mass between the paired columns.
-  // Workspace comes from the caller's worker-local scratch arena — no
-  // per-row heap traffic under the parallel builders.
-  ScratchArena::Scope scratch(ScratchArena::ForCurrentThread());
-  double* scaled = scratch.AllocArray<double>(d);
-  NodeId* small = scratch.AllocArray<NodeId>(d);
-  NodeId* large = scratch.AllocArray<NodeId>(d);
-  uint64_t nsmall = 0, nlarge = 0;
-  for (uint64_t i = 0; i < d; ++i) {
-    scaled[i] = static_cast<double>(weights_[lo + i]) *
-                static_cast<double>(d) / total;
-    if (scaled[i] < 1.0) {
-      small[nsmall++] = static_cast<NodeId>(i);
-    } else {
-      large[nlarge++] = static_cast<NodeId>(i);
-    }
-  }
-  while (nsmall > 0 && nlarge > 0) {
-    const NodeId s = small[--nsmall];
-    const NodeId l = large[nlarge - 1];
-    prob[s] = scaled[s];
-    idx[s] = l;
-    scaled[l] -= 1.0 - scaled[s];
-    if (scaled[l] < 1.0) {
-      --nlarge;
-      small[nsmall++] = l;
-    }
-  }
-  // Leftovers (in exact arithmetic these have mass exactly 1).
-  while (nlarge > 0) {
-    const NodeId i = large[--nlarge];
-    prob[i] = 1.0;
-    idx[i] = i;
-  }
-  while (nsmall > 0) {
-    const NodeId i = small[--nsmall];
-    prob[i] = 1.0;
-    idx[i] = i;
-  }
-}
-
-void WeightedCsrGraph::BuildAliasTable() {
-  LIGHTNE_CHECK_MSG(!degree_gated(),
-                    "BuildAliasTable after BuildDegreeGatedAlias would undo "
-                    "its memory cut; build one or the other");
-  if (!alias_prob_.empty()) return;
-  alias_prob_.resize(weights_.size());
-  alias_idx_.resize(weights_.size());
-  ParallelFor(
-      0, num_vertices_,
-      [&](uint64_t v) {
-        const uint64_t lo = offsets_[v];
-        const uint64_t d = offsets_[v + 1] - lo;
-        if (d == 0) return;
-        BuildAliasRow(lo, d, weighted_degree_[v], alias_prob_.data() + lo,
-                      alias_idx_.data() + lo);
-      },
-      /*grain=*/64);
-}
-
-void WeightedCsrGraph::BuildDegreeGatedAlias(uint32_t degree_gate) {
-  LIGHTNE_CHECK_GE(degree_gate, 1u);
-  LIGHTNE_CHECK_MSG(!has_alias_table(),
-                    "BuildDegreeGatedAlias after BuildAliasTable would not "
-                    "save memory; build one or the other");
-  if (degree_gated()) return;
-  degree_gate_ = degree_gate;
-
-  // Sequential slot assignment: rows pack in vertex order, hubs into the
-  // alias arrays, everything below the gate into the compact CDF array.
-  sample_slot_.resize(num_vertices_);
-  uint64_t alias_entries = 0;
-  uint64_t cdf_entries = 0;
-  for (NodeId v = 0; v < num_vertices_; ++v) {
-    const uint64_t d = offsets_[v + 1] - offsets_[v];
-    if (d >= degree_gate) {
-      sample_slot_[v] = kAliasBit | alias_entries;
-      alias_entries += d;
-    } else {
-      sample_slot_[v] = cdf_entries;
-      cdf_entries += d;
-    }
-  }
-  gated_alias_prob_.resize(alias_entries);
-  gated_alias_idx_.resize(alias_entries);
-  gated_cumulative_.resize(cdf_entries);
-
-  ParallelFor(
-      0, num_vertices_,
-      [&](uint64_t v) {
-        const uint64_t lo = offsets_[v];
-        const uint64_t d = offsets_[v + 1] - lo;
-        if (d == 0) return;
-        const uint64_t base = sample_slot_[v] & kSlotMask;
-        if ((sample_slot_[v] & kAliasBit) != 0) {
-          BuildAliasRow(lo, d, weighted_degree_[v],
-                        gated_alias_prob_.data() + base,
-                        gated_alias_idx_.data() + base);
-        } else {
-          // Same left-to-right double summation as FromEdges' cumulative
-          // pass, so cold draws match SampleNeighborPrefixScan bit for bit.
-          double running = 0;
-          for (uint64_t i = 0; i < d; ++i) {
-            running += weights_[lo + i];
-            gated_cumulative_[base + i] = running;
-          }
-        }
-      },
-      /*grain=*/64);
-
-  // The memory cut: the full per-edge cumulative array is now redundant
-  // (hubs sample via alias rows, cold vertices via their compact copy).
-  cumulative_.clear();
-  cumulative_.shrink_to_fit();
 }
 
 }  // namespace lightne

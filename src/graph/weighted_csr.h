@@ -82,31 +82,12 @@ class WeightedCsrGraph {
     }
   }
 
-  /// Samples a neighbor with probability proportional to its edge weight.
-  /// O(1) via the alias table when BuildAliasTable() has run, degree-gated
-  /// (alias on hubs, inverse CDF below the gate) after
-  /// BuildDegreeGatedAlias(), otherwise a binary search over the per-vertex
-  /// cumulative weights (O(log degree)). All paths consume exactly one
-  /// rng.Uniform() per draw, so code that replays a seeded RNG stream sees
-  /// the same consumption any way (the drawn neighbors differ between
-  /// methods for the same roll — only the distribution and the RNG cursor
-  /// are contractual).
+  /// Samples a neighbor with probability proportional to its edge weight:
+  /// an inverse-CDF binary search over the per-vertex cumulative weights
+  /// (O(log degree)), consuming exactly one rng.Uniform() per draw.
   NodeId SampleNeighbor(NodeId v, Rng& rng) const {
-    if (!sample_slot_.empty()) return SampleNeighborGated(v, rng);
-    if (!alias_prob_.empty()) return SampleNeighborAlias(v, rng);
-    return SampleNeighborPrefixScan(v, rng);
-  }
-
-  /// The O(log degree) reference sampler (inverse CDF over the cumulative
-  /// weights). Kept callable directly so tests and benches can compare the
-  /// alias path against it. Unavailable after BuildDegreeGatedAlias (the
-  /// full cumulative array is released — that is the memory win).
-  NodeId SampleNeighborPrefixScan(NodeId v, Rng& rng) const {
     const uint64_t lo = offsets_[v], hi = offsets_[v + 1];
     LIGHTNE_CHECK_GT(hi, lo);
-    LIGHTNE_CHECK_MSG(!cumulative_.empty(),
-                      "cumulative weights were released by "
-                      "BuildDegreeGatedAlias; use SampleNeighbor");
     const double roll = rng.Uniform() * (cumulative_[hi - 1]);
     // First index with cumulative >= roll.
     uint64_t a = lo, b = hi - 1;
@@ -121,131 +102,22 @@ class WeightedCsrGraph {
     return neighbors_[a];
   }
 
-  /// O(1) weighted draw via the Walker/Vose alias table. Requires
-  /// BuildAliasTable(). A single Uniform() supplies both the column index
-  /// (integer part of u * d) and the accept/alias coin (fractional part) —
-  /// the standard one-draw alias trick, which is what keeps the RNG
-  /// consumption identical to the prefix-scan path.
-  NodeId SampleNeighborAlias(NodeId v, Rng& rng) const {
-    const uint64_t lo = offsets_[v], d = offsets_[v + 1] - offsets_[v];
-    LIGHTNE_CHECK_GT(d, 0u);
-    LIGHTNE_CHECK_MSG(!alias_prob_.empty(), "BuildAliasTable has not run");
-    const double x = rng.Uniform() * static_cast<double>(d);
-    uint64_t i = static_cast<uint64_t>(x);
-    if (i >= d) i = d - 1;  // guard the u ~ 1.0 rounding edge
-    const double frac = x - static_cast<double>(i);
-    const uint64_t k = lo + i;
-    return frac < alias_prob_[k] ? neighbors_[k]
-                                 : neighbors_[lo + alias_idx_[k]];
-  }
-
-  /// Degree-gated draw (BuildDegreeGatedAlias): hub vertices use a Vose
-  /// alias row, everything below the gate a local inverse-CDF search. The
-  /// rows are built with the exact arithmetic of BuildAliasTable /
-  /// FromEdges' cumulative pass, so a gated draw returns bit-identically
-  /// what SampleNeighborAlias (hub) or SampleNeighborPrefixScan (cold)
-  /// would have returned for the same roll.
-  NodeId SampleNeighborGated(NodeId v, Rng& rng) const {
-    const uint64_t lo = offsets_[v], d = offsets_[v + 1] - lo;
-    LIGHTNE_CHECK_GT(d, 0u);
-    const uint64_t slot = sample_slot_[v];
-    const uint64_t base = slot & kSlotMask;
-    if ((slot & kAliasBit) != 0) {
-      // Both the alias branch and the inverse-CDF fallthrough below consume
-      // exactly one Uniform, so the RNG cursor advances identically on
-      // either path.
-      const double x = rng.Uniform() * static_cast<double>(d);  // lint-ok: rngflow (both paths draw once)
-      uint64_t i = static_cast<uint64_t>(x);
-      if (i >= d) i = d - 1;  // guard the u ~ 1.0 rounding edge
-      const double frac = x - static_cast<double>(i);
-      const uint64_t k = base + i;
-      return frac < gated_alias_prob_[k]
-                 ? neighbors_[lo + i]
-                 : neighbors_[lo + gated_alias_idx_[k]];
-    }
-    const double roll = rng.Uniform() * gated_cumulative_[base + d - 1];
-    // First index with cumulative >= roll.
-    uint64_t a = 0, b = d - 1;
-    while (a < b) {
-      const uint64_t mid = (a + b) / 2;
-      if (gated_cumulative_[base + mid] < roll) {
-        a = mid + 1;
-      } else {
-        b = mid;
-      }
-    }
-    return neighbors_[lo + a];
-  }
-
-  /// Precomputes the Walker/Vose alias table (parallel over vertices,
-  /// O(degree) work and 12 extra bytes per directed edge). Idempotent.
-  /// Mutually exclusive with BuildDegreeGatedAlias.
-  void BuildAliasTable();
-
-  /// Degree-gated sampling structures: Vose alias rows (12 bytes/edge) only
-  /// for vertices of degree >= `degree_gate`, compact per-vertex cumulative
-  /// rows (8 bytes/edge) below it — then releases the full cumulative
-  /// array, cutting sampling memory from 20 bytes/edge to 8 + 4f (f = the
-  /// hub-edge fraction) while hub draws, which dominate weight-proportional
-  /// walks, keep the O(1) alias path. Idempotent; mutually exclusive with
-  /// BuildAliasTable (building both would defeat the point).
-  void BuildDegreeGatedAlias(uint32_t degree_gate);
-
-  bool has_alias_table() const { return !alias_prob_.empty(); }
-  bool degree_gated() const { return !sample_slot_.empty(); }
-  /// The gate passed to BuildDegreeGatedAlias (0 before it runs).
-  uint32_t degree_gate() const { return degree_gate_; }
-
-  /// Bytes held by weight-proportional sampling structures alone (cumulative
-  /// rows, alias rows, and the gated slot index) — the quantity the gated
-  /// build cuts; graph topology (offsets/neighbors/weights) excluded.
-  uint64_t SamplingBytes() const {
-    return cumulative_.size() * sizeof(double) +
-           alias_prob_.size() * sizeof(double) +
-           alias_idx_.size() * sizeof(NodeId) +
-           sample_slot_.size() * sizeof(uint64_t) +
-           gated_cumulative_.size() * sizeof(double) +
-           gated_alias_prob_.size() * sizeof(double) +
-           gated_alias_idx_.size() * sizeof(NodeId);
-  }
-
   uint64_t SizeBytes() const {
     return offsets_.size() * sizeof(uint64_t) +
            neighbors_.size() * sizeof(NodeId) +
            weights_.size() * sizeof(float) +
-           weighted_degree_.size() * sizeof(double) + SamplingBytes();
+           cumulative_.size() * sizeof(double) +
+           weighted_degree_.size() * sizeof(double);
   }
 
  private:
-  // sample_slot_ tags: high bit picks the row kind, low bits the row base.
-  static constexpr uint64_t kAliasBit = uint64_t{1} << 63;
-  static constexpr uint64_t kSlotMask = kAliasBit - 1;
-
-  /// Builds one Vose alias row for the `d` weights starting at edge slot
-  /// `lo` into prob/idx (each `d` entries). Shared by the full and gated
-  /// builders so both produce bit-identical rows.
-  void BuildAliasRow(uint64_t lo, uint64_t d, double total, double* prob,
-                     NodeId* idx) const;
-
   NodeId num_vertices_ = 0;
   double total_weight_ = 0;
-  uint32_t degree_gate_ = 0;
   std::vector<uint64_t> offsets_;
   std::vector<NodeId> neighbors_;
   std::vector<float> weights_;
   std::vector<double> cumulative_;       // per-vertex running weight sums
   std::vector<double> weighted_degree_;  // per vertex
-  // Alias table (empty until BuildAliasTable): per edge slot k, accept
-  // probability of the resident column and the in-adjacency index drawn on
-  // rejection.
-  std::vector<double> alias_prob_;
-  std::vector<NodeId> alias_idx_;
-  // Degree-gated structures (empty until BuildDegreeGatedAlias): per-vertex
-  // tagged base into the packed alias rows (hubs) or cumulative rows (cold).
-  std::vector<uint64_t> sample_slot_;
-  std::vector<double> gated_cumulative_;
-  std::vector<double> gated_alias_prob_;
-  std::vector<NodeId> gated_alias_idx_;
 };
 
 }  // namespace lightne

@@ -1,7 +1,6 @@
 #include "la/sparse.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "la/kernels.h"
 #include "parallel/parallel_for.h"
@@ -9,55 +8,6 @@
 #include "parallel/sort.h"
 
 namespace lightne {
-
-namespace {
-
-// Builds row offsets from sorted row ids accessed through `row_of`.
-std::vector<uint64_t> OffsetsFromSortedRows(
-    uint64_t rows, uint64_t nnz,
-    const std::function<uint64_t(uint64_t)>& row_of) {
-  std::vector<uint64_t> offsets(rows + 1, 0);
-  // offsets[r+1] = first index with row > r, found per row by binary search
-  // boundaries; cheaper: count occurrences then scan.
-  std::vector<std::atomic<uint64_t>> count(rows);
-  ParallelFor(0, rows, [&](uint64_t r) {
-    count[r].store(0, std::memory_order_relaxed);
-  });
-  ParallelFor(0, nnz, [&](uint64_t k) {
-    count[row_of(k)].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (uint64_t r = 0; r < rows; ++r) {
-    offsets[r + 1] =
-        offsets[r] + count[r].load(std::memory_order_relaxed);
-  }
-  return offsets;
-}
-
-}  // namespace
-
-SparseMatrix SparseMatrix::FromSortedTriplets(
-    uint64_t rows, uint64_t cols,
-    const std::vector<std::pair<uint64_t, float>>& keyed_values) {
-  SparseMatrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  const uint64_t nnz = keyed_values.size();
-  m.col_indices_.resize(nnz);
-  m.values_.resize(nnz);
-  ParallelFor(0, nnz, [&](uint64_t k) {
-    const uint64_t key = keyed_values[k].first;
-    LIGHTNE_CHECK(k == 0 || keyed_values[k - 1].first < key);
-    const uint64_t row = key >> 32;
-    LIGHTNE_CHECK_LT(row, rows);
-    const uint32_t col = static_cast<uint32_t>(key & 0xffffffffull);
-    LIGHTNE_CHECK_LT(col, cols);
-    m.col_indices_[k] = col;
-    m.values_[k] = keyed_values[k].second;
-  });
-  m.row_offsets_ = OffsetsFromSortedRows(
-      rows, nnz, [&](uint64_t k) { return keyed_values[k].first >> 32; });
-  return m;
-}
 
 SparseMatrix SparseMatrix::FromCsr(uint64_t rows, uint64_t cols,
                                    std::vector<uint64_t> row_offsets,
@@ -81,33 +31,45 @@ SparseMatrix SparseMatrix::FromEntries(
     std::vector<std::pair<uint64_t, double>> entries) {
   ParallelSort(entries.data(), entries.size(),
                [](const auto& a, const auto& b) { return a.first < b.first; });
-  // Sum runs of equal keys: keep the first element of each run, accumulate.
+  // Equal keys are now contiguous runs: pack the run heads, then sum each
+  // run into one CSR entry.
   const uint64_t n = entries.size();
-  std::vector<uint64_t> head_flag(n);
-  ParallelFor(0, n, [&](uint64_t k) {
-    head_flag[k] = (k == 0 || entries[k].first != entries[k - 1].first) ? 1 : 0;
-  });
-  // Sequential-friendly accumulation per run head (runs are contiguous).
-  std::vector<std::pair<uint64_t, float>> unique;
-  unique.reserve(n);
-  // Collect run heads with a pack, then sum each run in parallel.
-  std::vector<uint64_t> heads;
-  heads.reserve(n);
-  for (uint64_t k = 0; k < n; ++k) {
-    if (head_flag[k]) heads.push_back(k);
-  }
-  unique.resize(heads.size());
+  const std::vector<uint64_t> heads = ParallelPack<uint64_t>(
+      n,
+      [&](uint64_t k) {
+        return k == 0 || entries[k].first != entries[k - 1].first;
+      },
+      [](uint64_t k) { return k; });
+  const uint64_t nnz = heads.size();
+  std::vector<uint32_t> col_indices(nnz);
+  std::vector<float> values(nnz);
   ParallelFor(
-      0, heads.size(),
+      0, nnz,
       [&](uint64_t h) {
         const uint64_t lo = heads[h];
-        const uint64_t hi = (h + 1 < heads.size()) ? heads[h + 1] : n;
+        const uint64_t hi = (h + 1 < nnz) ? heads[h + 1] : n;
         double sum = 0;
         for (uint64_t k = lo; k < hi; ++k) sum += entries[k].second;
-        unique[h] = {entries[lo].first, static_cast<float>(sum)};
+        const uint64_t key = entries[lo].first;
+        LIGHTNE_CHECK_LT(key >> 32, rows);
+        const uint32_t col = static_cast<uint32_t>(key & 0xffffffffull);
+        LIGHTNE_CHECK_LT(col, cols);
+        col_indices[h] = col;
+        values[h] = static_cast<float>(sum);
       },
       /*grain=*/1024);
-  return FromSortedTriplets(rows, cols, unique);
+  // Row r starts at the first entry whose row is >= r, so entry h starts
+  // every row after its predecessor's row up to its own (empty rows
+  // included); h == nnz closes the rows after the last entry.
+  const auto row_of = [&](uint64_t h) { return entries[heads[h]].first >> 32; };
+  std::vector<uint64_t> row_offsets(rows + 1);
+  ParallelFor(0, nnz + 1, [&](uint64_t h) {
+    const uint64_t first = h == 0 ? 0 : row_of(h - 1) + 1;
+    const uint64_t last = h == nnz ? rows : row_of(h);
+    for (uint64_t r = first; r <= last; ++r) row_offsets[r] = h;
+  });
+  return FromCsr(rows, cols, std::move(row_offsets), std::move(col_indices),
+                 std::move(values));
 }
 
 float SparseMatrix::At(uint64_t i, uint32_t j) const {

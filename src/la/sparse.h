@@ -19,11 +19,6 @@ class SparseMatrix {
  public:
   SparseMatrix() = default;
 
-  /// Builds from triplets sorted by (row, col) with no duplicates.
-  static SparseMatrix FromSortedTriplets(
-      uint64_t rows, uint64_t cols,
-      const std::vector<std::pair<uint64_t, float>>& keyed_values);
-
   /// Adopts finished CSR arrays: row_offsets has rows + 1 entries starting
   /// at 0 and ending at nnz, and each row's columns are strictly increasing
   /// and below `cols` (the caller's contract; only the shape is checked).

@@ -4,10 +4,10 @@
 // fetch-add (xadd for integral values). No deletions. Counts are exact: every
 // accepted sample is accounted for by an atomic instruction.
 //
-// The table has fixed capacity. Callers size it from the expected number of
-// accepted samples (an upper bound on distinct keys); if the fill factor
-// exceeds the load limit, Upsert returns false and the caller retries with a
-// larger table (see SparsifierBuilder).
+// The table has fixed capacity. The sparsifier sizes it from a pilot
+// estimate of the distinct keys (core/sparsifier.h, BuildSparsifier); if the
+// fill factor exceeds the load limit, Upsert returns false and the caller
+// retries with a larger table.
 #ifndef LIGHTNE_PARALLEL_CONCURRENT_HASH_TABLE_H_
 #define LIGHTNE_PARALLEL_CONCURRENT_HASH_TABLE_H_
 
@@ -168,18 +168,6 @@ class ConcurrentHashTable {
     return ProjectedMemoryBytes(hint, max_load) <= budget_bytes ? hint : 0;
   }
 
-  /// Applies fn(key, value) to every occupied slot, in parallel. Must not
-  /// run concurrently with Upsert.
-  template <typename F>
-  void ForEach(F&& fn) const {
-    ParallelFor(0, capacity_, [&](uint64_t i) {
-      uint64_t k = slots_[i].key.load(std::memory_order_relaxed);
-      if (k != kEmptyKey) {
-        fn(k, slots_[i].value.load(std::memory_order_relaxed));
-      }
-    });
-  }
-
   /// Reads slot `i` (< capacity()): false if it is empty, else its key and
   /// value. For callers that partition a scan of the slot array themselves
   /// (the sparsifier's table-to-CSR build). Must not run concurrently with
@@ -216,9 +204,10 @@ class ConcurrentHashTable {
  private:
   // Layout choice: each slot is its natural 16 bytes, four to a cache line.
   // Four neighbors sharing a line could false-share when workers hammer one
-  // hot key, but the sampler's per-worker combiner (parallel/combiner.h)
-  // absorbs repeat keys before they reach the table, so what arrives is a
-  // near-distinct stream scattered over a table far larger than cache.
+  // hot key, but the sampler's key stream repeats little: a per-worker cache
+  // in front of the table merged only 7.6% of accepted samples on the
+  // oag-large benchmark workload and 1.1% on rmat-compressed. What arrives
+  // is a near-distinct stream scattered over a table far larger than cache.
   // There a probe is one line miss whatever the slot size, and a padded
   // slot would only spend 4x the memory (and the page-faulting to touch it)
   // on lines that are rarely contended. The memory-budget governor sizes

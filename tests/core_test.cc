@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/lightne.h"
 #include "core/netmf.h"
 #include "core/path_sampling.h"
@@ -376,7 +380,8 @@ SparseMatrix ExpectBuilderMatchesOracle(const CsrGraph& g, uint32_t window,
   ConcurrentHashTable<double> table(2 * samples);
   internal::SamplerPassStats stats;
   EXPECT_TRUE(internal::RunPerEdgeSampling(g, opt, per_edge, c, opt.seed,
-                                           accel, &table, &stats));
+                                           accel, &table, /*buffers=*/nullptr,
+                                           &stats));
   SparseMatrix oracle = OracleCsr(n, table.Extract());
   ExpectSameCsr(internal::CanonicalToCsr(n, table), oracle);
   {
@@ -386,8 +391,9 @@ SparseMatrix ExpectBuilderMatchesOracle(const CsrGraph& g, uint32_t window,
 
   WorkerBuffers buffers(NumWorkers());
   internal::SamplerPassStats buffered_stats;
-  internal::RunPerEdgeSamplingBuffered(g, opt, per_edge, c, opt.seed, accel,
-                                       &buffers, &buffered_stats);
+  EXPECT_TRUE(internal::RunPerEdgeSampling(g, opt, per_edge, c, opt.seed,
+                                           accel, /*table=*/nullptr, &buffers,
+                                           &buffered_stats));
   const std::vector<std::pair<uint64_t, double>> canonical =
       buffers.Collapse();
   EXPECT_EQ(canonical.size(), table.NumEntries());
@@ -663,6 +669,59 @@ TEST(LightNeTest, PropagationOffSkipsStage) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->timing.SecondsFor("propagation"), 0.0);
   EXPECT_EQ(r->timing.stages().size(), 2u);
+}
+
+// ------------------------------------------------------------ checkpoint --
+
+// The sparsifier loader adopts the saved CSR arrays as they are, so it must
+// reject every array the CRC accepts but FromCsr's shape checks would not
+// catch: each malformed matrix below is saved with a valid checksum and
+// must fall back to recompute, while the well-formed one round-trips.
+TEST(CheckpointLoadTest, SparsifierLoaderValidatesCsrInvariants) {
+  // Per-process: core_test and core_test_mt4 may run concurrently.
+  const std::string dir = ::testing::TempDir() + "/ckpt_csr_invariants_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  struct Case {
+    const char* what;
+    std::vector<uint64_t> offsets;
+    std::vector<uint32_t> cols;
+    bool valid;
+  };
+  // 3 x 8 matrices with 5 entries. The middle-offset case keeps row 0's
+  // columns sorted so only the offset check stops the scan past nnz.
+  const std::vector<Case> cases = {
+      {"well formed", {0, 2, 2, 5}, {1, 3, 0, 2, 7}, true},
+      {"middle offset past nnz", {0, 9, 2, 5}, {0, 1, 2, 3, 4}, false},
+      {"decreasing offsets", {0, 3, 2, 5}, {0, 1, 2, 3, 4}, false},
+      {"column out of range", {0, 2, 2, 5}, {1, 8, 0, 2, 3}, false},
+      {"unsorted row", {0, 2, 2, 5}, {1, 3, 2, 0, 3}, false},
+      {"repeated column", {0, 2, 2, 5}, {1, 1, 0, 2, 3}, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const std::vector<float> values = {1, 2, 3, 4, 5};
+    const SparseMatrix saved =
+        SparseMatrix::FromCsr(3, 8, c.offsets, c.cols, values);
+    CheckpointedPipelineStats stats;
+    stats.samples_drawn = 7;
+    {
+      CheckpointManager writer(dir, /*resume=*/false, 1, 2, 3);
+      writer.SaveSparsifier(saved, stats);
+    }
+    CheckpointManager reader(dir, /*resume=*/true, 1, 2, 3);
+    ASSERT_TRUE(reader.resumable());
+    SparseMatrix loaded;
+    CheckpointedPipelineStats loaded_stats;
+    EXPECT_EQ(reader.LoadSparsifier(&loaded, &loaded_stats), c.valid);
+    if (c.valid) {
+      EXPECT_EQ(loaded_stats.samples_drawn, 7u);
+      EXPECT_EQ(loaded.row_offsets(), c.offsets);
+      EXPECT_EQ(loaded.col_indices(), c.cols);
+      EXPECT_EQ(loaded.values(), values);
+    }
+    std::filesystem::remove_all(dir);
+  }
 }
 
 }  // namespace

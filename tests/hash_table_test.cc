@@ -61,9 +61,12 @@ TEST(HashTableTest, ExactCountsUnderContention) {
     EXPECT_TRUE(table.Upsert(rng.UniformInt(kKeys), 1));
   });
   EXPECT_EQ(table.NumEntries(), kKeys);
-  std::atomic<uint64_t> total{0};
-  table.ForEach([&](uint64_t, uint64_t v) { AtomicFetchAdd(total, v); });
-  EXPECT_EQ(total.load(), kOps);
+  uint64_t total = 0;
+  uint64_t key, value;
+  for (uint64_t i = 0; i < table.capacity(); ++i) {
+    if (table.ReadSlot(i, &key, &value)) total += value;
+  }
+  EXPECT_EQ(total, kOps);
 }
 
 TEST(HashTableTest, ParallelMatchesSequentialAggregation) {
@@ -100,15 +103,17 @@ TEST(HashTableTest, ExtractReturnsAllEntries) {
   }
 }
 
-TEST(HashTableTest, ForEachSkipsEmptySlots) {
+TEST(HashTableTest, ReadSlotSkipsEmptySlots) {
   ConcurrentHashTable<uint64_t> table(64);
   table.Upsert(3, 1);
   int count = 0;
-  table.ForEach([&](uint64_t k, uint64_t v) {
+  uint64_t k, v;
+  for (uint64_t i = 0; i < table.capacity(); ++i) {
+    if (!table.ReadSlot(i, &k, &v)) continue;
     EXPECT_EQ(k, 3u);
     EXPECT_EQ(v, 1u);
     ++count;
-  });
+  }
   EXPECT_EQ(count, 1);
 }
 

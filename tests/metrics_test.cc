@@ -2,6 +2,7 @@
 // across worker counts, sharded-histogram merge correctness, and the trace
 // recorder's span nesting / export formats.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -207,7 +208,10 @@ TEST(TraceTest, ChromeTraceExportContainsEvents) {
       {"alpha", 10, 5, 0, 0},
       {"be\"ta", 12, 2, 0, 1},
   };
-  const std::string path = ::testing::TempDir() + "/trace_test.json";
+  // Per-process: metrics_test and metrics_test_mt4 may run concurrently,
+  // and a shared path races their write-then-rename.
+  const std::string path = ::testing::TempDir() + "/trace_test_" +
+                           std::to_string(::getpid()) + ".json";
   ASSERT_TRUE(TraceRecorder::WriteChromeTrace(events, path).ok());
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
@@ -218,6 +222,7 @@ TEST(TraceTest, ChromeTraceExportContainsEvents) {
     content.append(buf, got);
   }
   std::fclose(f);
+  std::remove(path.c_str());
   EXPECT_NE(content.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(content.find("\"name\": \"alpha\""), std::string::npos);
   EXPECT_NE(content.find("\"ph\": \"X\""), std::string::npos);

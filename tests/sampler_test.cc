@@ -1,9 +1,8 @@
-// Sampler hot-path tests (DESIGN.md §11, §13): combiner-vs-direct
-// equivalence (bit-identical integer counters, 1-ulp matrix values), the
-// alias-table sampler's exact distribution and RNG-consumption contract
-// against the prefix-scan reference (full and degree-gated), the
-// compressed-graph walk engine (hub-pinned tier over scalar decode)
-// against naive Neighbor, and the edge-balanced scheduling partition.
+// Sampler hot-path tests (DESIGN.md §11, §13): the batched shared-table
+// ingestion against the kSortHistogram ablation and across worker counts
+// and graph representations, the weighted sampler's draw distribution, the
+// compressed-graph walk engine (hub-pinned tier over scalar decode) against
+// naive Neighbor, and the edge-balanced scheduling partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "core/sparsifier.h"
@@ -70,71 +70,62 @@ void ExpectEquivalentSparsifiers(const SparsifierResult& a,
   }
 }
 
-// ------------------------------------------- combiner / direct equivalence ----
+// ------------------------------------------------------ sampler ingestion ----
 
-TEST(CombinerTest, CombinerMatchesDirectPath) {
-  const CsrGraph g = SamplerGraph();
-  SparsifierOptions direct = BaseOptions();
-  direct.combiner = false;
-  SparsifierOptions combined = BaseOptions();
-  combined.combiner = true;
-  auto rd = BuildSparsifier(g, direct);
-  auto rc = BuildSparsifier(g, combined);
-  ASSERT_TRUE(rd.ok());
-  ASSERT_TRUE(rc.ok());
-  ExpectEquivalentSparsifiers(*rd, *rc);
-  // Accounting: the direct path upserts once per accepted sample; the
-  // combiner path upserts once per non-merged record, and every accepted
-  // sample is either merged or flushed.
-  EXPECT_EQ(rd->table_upserts, rd->samples_accepted);
-  EXPECT_EQ(rd->combiner_hits, 0u);
-  EXPECT_EQ(rc->table_upserts + rc->combiner_hits, rc->samples_accepted);
-  EXPECT_LT(rc->table_upserts, rc->samples_accepted);
-  EXPECT_GT(rc->combiner_hits, 0u);
-  EXPECT_GT(rc->combiner_flushes, 0u);
-  EXPECT_GT(rc->table_batch_upserts, 0u);
-}
-
-TEST(CombinerTest, TinyCombinerEvictionStormStaysExact) {
-  // A 16-slot combiner evicts constantly; the multiset of records reaching
-  // the table must still be a grouping of the direct path's.
-  const CsrGraph g = SamplerGraph();
-  SparsifierOptions direct = BaseOptions();
-  direct.combiner = false;
-  SparsifierOptions tiny = BaseOptions();
-  tiny.combiner = true;
-  tiny.combiner_log2_slots = 4;
-  auto rd = BuildSparsifier(g, direct);
-  auto rt = BuildSparsifier(g, tiny);
-  ASSERT_TRUE(rd.ok());
-  ASSERT_TRUE(rt.ok());
-  ExpectEquivalentSparsifiers(*rd, *rt);
-}
-
-TEST(CombinerTest, CountersBitIdenticalAcrossWorkerCounts) {
-  const CsrGraph g = SamplerGraph();
-  for (const bool use_combiner : {false, true}) {
-    SparsifierOptions opt = BaseOptions();
-    opt.combiner = use_combiner;
-    Result<SparsifierResult> serial = [&] {
-      SequentialRegion seq;
-      return BuildSparsifier(g, opt);
-    }();
-    auto parallel = BuildSparsifier(g, opt);
-    ASSERT_TRUE(serial.ok());
-    ASSERT_TRUE(parallel.ok());
-    ExpectEquivalentSparsifiers(*serial, *parallel);
+// The shared table (batched UpsertBatch ingestion) and the kSortHistogram
+// ablation (per-worker lists, one sort) run the same per-edge RNG streams
+// over the same schedule; the sparsifiers must agree bit for bit.
+template <GraphView G>
+void ExpectSharedTableMatchesSortHistogram(const G& g) {
+  SparsifierOptions shared = BaseOptions();
+  SparsifierOptions sorted = BaseOptions();
+  sorted.aggregation = AggregationStrategy::kSortHistogram;
+  for (const bool sequential : {false, true}) {
+    std::optional<SequentialRegion> region;
+    if (sequential) region.emplace();
+    auto rs = BuildSparsifier(g, shared);
+    auto rh = BuildSparsifier(g, sorted);
+    ASSERT_TRUE(rs.ok());
+    ASSERT_TRUE(rh.ok());
+    EXPECT_EQ(rs->samples_drawn, rh->samples_drawn);
+    EXPECT_EQ(rs->samples_accepted, rh->samples_accepted);
+    EXPECT_EQ(rs->mass_fp20, rh->mass_fp20);
+    EXPECT_EQ(rs->distinct_entries, rh->distinct_entries);
+    EXPECT_EQ(rs->matrix.row_offsets(), rh->matrix.row_offsets());
+    EXPECT_EQ(rs->matrix.col_indices(), rh->matrix.col_indices());
+    EXPECT_EQ(rs->matrix.values(), rh->matrix.values());
+    // Every accepted sample reaches the table, in kUpsertBatch batches.
+    EXPECT_EQ(rs->table_upserts, rs->samples_accepted);
+    EXPECT_GE(rs->table_batch_upserts * internal::kUpsertBatch,
+              rs->table_upserts);
   }
 }
 
-TEST(CombinerTest, CombinerWorksAcrossRepresentations) {
-  // The compressed path adds the decode cursor on top of the combiner; both
-  // representations must agree with each other (they draw identical walk
-  // endpoints) and with the direct path.
+TEST(IngestionTest, SharedTableMatchesSortHistogram) {
+  const CsrGraph csr = SamplerGraph();
+  ExpectSharedTableMatchesSortHistogram(csr);
+  ExpectSharedTableMatchesSortHistogram(CompressedGraph::FromCsr(csr));
+}
+
+TEST(IngestionTest, CountersBitIdenticalAcrossWorkerCounts) {
+  const CsrGraph g = SamplerGraph();
+  const SparsifierOptions opt = BaseOptions();
+  Result<SparsifierResult> serial = [&] {
+    SequentialRegion seq;
+    return BuildSparsifier(g, opt);
+  }();
+  auto parallel = BuildSparsifier(g, opt);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(parallel.ok());
+  ExpectEquivalentSparsifiers(*serial, *parallel);
+}
+
+TEST(IngestionTest, WorksAcrossRepresentations) {
+  // The compressed path adds the decode cursor on top of the batch; both
+  // representations draw identical walk endpoints, so they must agree.
   const CsrGraph csr = SamplerGraph();
   const CompressedGraph cg = CompressedGraph::FromCsr(csr);
-  SparsifierOptions opt = BaseOptions();
-  opt.combiner = true;
+  const SparsifierOptions opt = BaseOptions();
   auto rcsr = BuildSparsifier(csr, opt);
   auto rcomp = BuildSparsifier(cg, opt);
   ASSERT_TRUE(rcsr.ok());
@@ -146,44 +137,34 @@ TEST(CombinerTest, CombinerWorksAcrossRepresentations) {
   EXPECT_EQ(rcsr->matrix.col_indices(), rcomp->matrix.col_indices());
 }
 
-TEST(CombinerTest, MetricsSurfaceCombinerCounters) {
+TEST(IngestionTest, MetricsSurfaceIngestionCounters) {
   const CsrGraph g = SamplerGraph();
   MetricsRegistry::Global().ResetForTest();
-  SparsifierOptions opt = BaseOptions();
-  opt.combiner = true;
-  auto r = BuildSparsifier(g, opt);
+  auto r = BuildSparsifier(g, BaseOptions());
   ASSERT_TRUE(r.ok());
   MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(r->table_upserts, r->samples_accepted);
+  EXPECT_GT(r->table_batch_upserts, 0u);
+  EXPECT_EQ(snap.CounterValue("sparsifier/samples_accepted"),
+            r->samples_accepted);
   EXPECT_EQ(snap.CounterValue("sparsifier/table_upserts"), r->table_upserts);
-  EXPECT_EQ(snap.CounterValue("sparsifier/combiner_hits"), r->combiner_hits);
-  EXPECT_EQ(snap.CounterValue("sparsifier/combiner_flushes"),
-            r->combiner_flushes);
   EXPECT_EQ(snap.CounterValue("sparsifier/table_batch_upserts"),
             r->table_batch_upserts);
 }
 
-// --------------------------------------------------- alias-table sampling ----
+// ------------------------------------------------------ weighted sampling ----
 
-WeightedCsrGraph SkewedWeightedGraph() {
+TEST(WeightedSamplingTest, DrawFrequenciesTrackWeights) {
   // A star plus a ring: vertex 0 has a wide, heavily skewed adjacency
-  // (weights 1, 2, ..., d) — the worst case for prefix-scan sampling and a
-  // good exactness test for Vose initialization.
+  // (weights 1, 2, ..., d). Frequencies of 200k draws at the hub must track
+  // the weights; any systematic deviation is a sampler bug.
   WeightedEdgeList list;
   list.num_vertices = 64;
   for (NodeId v = 1; v < 64; ++v) {
     list.Add(0, v, static_cast<float>(v));
     list.Add(v, v % 63 + 1, 1.0f);
   }
-  return WeightedCsrGraph::FromEdges(std::move(list));
-}
-
-TEST(AliasTableTest, DrawFrequenciesTrackWeights) {
-  WeightedCsrGraph g = SkewedWeightedGraph();
-  g.BuildAliasTable();
-  ASSERT_TRUE(g.has_alias_table());
-  // Frequencies of 200k alias draws at the hub must track the (heavily
-  // skewed) weights: the Vose construction preserves each column's exact
-  // mass, so any systematic deviation is an initialization bug.
+  const WeightedCsrGraph g = WeightedCsrGraph::FromEdges(std::move(list));
   const NodeId hub = 0;
   const uint64_t d = g.Degree(hub);
   std::vector<uint64_t> counts(65, 0);
@@ -199,54 +180,6 @@ TEST(AliasTableTest, DrawFrequenciesTrackWeights) {
     EXPECT_NEAR(static_cast<double>(counts[nbr]), expect,
                 6.0 * std::sqrt(expect) + 6.0)
         << "neighbor " << nbr;
-  }
-}
-
-TEST(AliasTableTest, AliasAndPrefixScanAgreeOnDistribution) {
-  // Same graph, same number of draws: both samplers must converge to the
-  // same per-neighbor frequencies (they are different maps of the same
-  // uniform variate, so per-draw results differ — only distributions match).
-  WeightedCsrGraph g = SkewedWeightedGraph();
-  const NodeId hub = 0;
-  const uint64_t draws = 200000;
-  std::vector<uint64_t> scan_counts(65, 0), alias_counts(65, 0);
-  Rng rng_scan(11);
-  for (uint64_t s = 0; s < draws; ++s) {
-    ++scan_counts[g.SampleNeighborPrefixScan(hub, rng_scan)];
-  }
-  g.BuildAliasTable();
-  Rng rng_alias(13);
-  for (uint64_t s = 0; s < draws; ++s) {
-    ++alias_counts[g.SampleNeighborAlias(hub, rng_alias)];
-  }
-  for (NodeId v = 0; v < 65; ++v) {
-    const double a = static_cast<double>(alias_counts[v]);
-    const double b = static_cast<double>(scan_counts[v]);
-    EXPECT_NEAR(a, b, 6.0 * std::sqrt(std::max(a, b)) + 6.0) << "nbr " << v;
-  }
-}
-
-TEST(AliasTableTest, RngConsumptionMatchesPrefixScan) {
-  // The shared contract: both samplers consume exactly one Uniform() per
-  // draw, so seeded streams stay aligned whichever sampler runs.
-  WeightedCsrGraph g = SkewedWeightedGraph();
-  g.BuildAliasTable();
-  Rng rng_scan(99), rng_alias(99);
-  for (int s = 0; s < 1000; ++s) {
-    const NodeId v = static_cast<NodeId>(s % g.NumVertices());
-    (void)g.SampleNeighborPrefixScan(v, rng_scan);
-    (void)g.SampleNeighborAlias(v, rng_alias);
-    ASSERT_EQ(rng_scan.Next(), rng_alias.Next()) << "diverged at draw " << s;
-  }
-}
-
-TEST(AliasTableTest, WeightedWalkStillWorksWithAliasTable) {
-  WeightedCsrGraph g = SkewedWeightedGraph();
-  g.BuildAliasTable();
-  Rng rng(5);
-  for (int s = 0; s < 100; ++s) {
-    const NodeId end = WeightedRandomWalk(g, NodeId{0}, 10, rng);
-    EXPECT_LT(end, g.NumVertices());
   }
 }
 
@@ -513,90 +446,6 @@ TEST(WalkEngineTest, WalkCountersReachMetricsRegistry) {
   EXPECT_GT(snap.GaugeValue("walk/pinned_vertices"), 0u);
   EXPECT_GT(pin_hits, 0u);
   EXPECT_GT(misses, 0u);
-}
-
-// --------------------------------------------------- degree-gated alias ----
-
-TEST(GatedAliasTest, GatedDrawsBitIdenticalToAliasOnHubsPrefixBelow) {
-  // The gated sampler must be a seam of the two existing samplers: for the
-  // same roll, a hub draw returns exactly what the full alias table would,
-  // a cold draw exactly what the prefix scan would — bit-identical, not
-  // just in distribution.
-  constexpr uint32_t kGate = 8;
-  WeightedCsrGraph full = SkewedWeightedGraph();
-  WeightedCsrGraph plain = SkewedWeightedGraph();
-  WeightedCsrGraph gated = SkewedWeightedGraph();
-  full.BuildAliasTable();
-  gated.BuildDegreeGatedAlias(kGate);
-  EXPECT_TRUE(gated.degree_gated());
-  EXPECT_EQ(gated.degree_gate(), kGate);
-  for (NodeId v = 0; v < gated.NumVertices(); ++v) {
-    const uint64_t d = gated.Degree(v);
-    if (d == 0) continue;
-    Rng rng_gated(v * 31 + 1), rng_ref(v * 31 + 1);
-    for (int s = 0; s < 200; ++s) {
-      const NodeId got = gated.SampleNeighbor(v, rng_gated);
-      const NodeId want = d >= kGate
-                              ? full.SampleNeighborAlias(v, rng_ref)
-                              : plain.SampleNeighborPrefixScan(v, rng_ref);
-      ASSERT_EQ(got, want) << "v=" << v << " (degree " << d << ") draw " << s;
-    }
-  }
-}
-
-TEST(GatedAliasTest, RngConsumptionIdenticalAcrossGateBoundary)  {
-  // One Uniform() per draw on both sides of the gate: a seeded stream stays
-  // aligned with the ungated samplers no matter which row kind serves it.
-  WeightedCsrGraph gated = SkewedWeightedGraph();
-  WeightedCsrGraph plain = SkewedWeightedGraph();
-  gated.BuildDegreeGatedAlias(8);
-  Rng rng_gated(99), rng_plain(99);
-  for (int s = 0; s < 1000; ++s) {
-    const NodeId v = static_cast<NodeId>(s % gated.NumVertices());
-    if (gated.Degree(v) == 0) continue;
-    (void)gated.SampleNeighbor(v, rng_gated);
-    (void)plain.SampleNeighborPrefixScan(v, rng_plain);
-    ASSERT_EQ(rng_gated.Next(), rng_plain.Next()) << "diverged at draw " << s;
-  }
-}
-
-TEST(GatedAliasTest, GatedTableCutsSamplingMemory) {
-  WeightedCsrGraph full = SkewedWeightedGraph();
-  WeightedCsrGraph gated = SkewedWeightedGraph();
-  full.BuildAliasTable();
-  gated.BuildDegreeGatedAlias(8);
-  // Full: cumulative (8 B/edge) + alias rows (12 B/edge). Gated: alias rows
-  // only above the gate, compact CDF below, one slot word per vertex — on
-  // this star-plus-ring graph well past the 40% acceptance bar.
-  EXPECT_LT(gated.SamplingBytes(), full.SamplingBytes());
-  EXPECT_LE(static_cast<double>(gated.SamplingBytes()),
-            0.6 * static_cast<double>(full.SamplingBytes()));
-  // Weighted degrees (used by downsampling probabilities) survive the
-  // cumulative-array release.
-  for (NodeId v = 0; v < gated.NumVertices(); ++v) {
-    EXPECT_EQ(gated.WeightedDegree(v), full.WeightedDegree(v));
-  }
-}
-
-TEST(GatedAliasTest, GatedDistributionTracksWeights) {
-  WeightedCsrGraph g = SkewedWeightedGraph();
-  g.BuildDegreeGatedAlias(8);
-  const NodeId hub = 0;  // degree 63: alias side of the gate
-  const uint64_t d = g.Degree(hub);
-  ASSERT_GE(d, 8u);
-  std::vector<uint64_t> counts(65, 0);
-  Rng rng(7);
-  const uint64_t draws = 200000;
-  for (uint64_t s = 0; s < draws; ++s) ++counts[g.SampleNeighbor(hub, rng)];
-  for (uint64_t i = 0; i < d; ++i) {
-    const NodeId nbr = g.Neighbor(hub, i);
-    const double expect = static_cast<double>(draws) *
-                          static_cast<double>(g.Weight(hub, i)) /
-                          g.WeightedDegree(hub);
-    EXPECT_NEAR(static_cast<double>(counts[nbr]), expect,
-                6.0 * std::sqrt(expect) + 6.0)
-        << "neighbor " << nbr;
-  }
 }
 
 // -------------------------------------------------- edge-balanced schedule ----

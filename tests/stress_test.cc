@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "parallel/combiner.h"
 #include "parallel/concurrent_hash_table.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
@@ -139,63 +138,6 @@ TEST(HashTableStress, UpsertBatchContention) {
   for (uint64_t k = 0; k < kKeys; ++k) {
     ASSERT_EQ(table.Get(k), expected[k]) << "key " << k;
   }
-}
-
-TEST(CombinerStress, ConcurrentFlushesMatchSerialReplay) {
-  // One combiner per worker draining into a shared table, all flushing at
-  // the end — the sparsifier's ingestion shape. The per-key totals must
-  // equal a serial replay of the full record stream: combining only regroups
-  // additions, it never loses or duplicates one. Integer values make the
-  // regrouping exactly associative, so equality is exact (integer-valued
-  // doubles are exact well past these counts).
-  ConcurrentHashTable<double> table(kKeys);
-  const uint64_t ops_per_worker = kOps / 8;
-  std::atomic<uint64_t> records_total{0};
-  std::atomic<uint64_t> flushed_total{0};
-  ParallelForWorkers([&](int worker, int /*workers*/) {
-    // A deliberately tiny combiner (64 slots) so eviction displacement and
-    // mid-run batch flushes all happen under contention.
-    SamplerCombiner combiner(&table, /*log2_slots=*/6);
-    for (uint64_t i = 0; i < ops_per_worker; ++i) {
-      ASSERT_TRUE(combiner.Add(
-          SkewedKey(static_cast<uint64_t>(worker) * ops_per_worker + i),
-          1.0));
-    }
-    ASSERT_TRUE(combiner.Flush());
-    records_total.fetch_add(combiner.stats().records,
-                            std::memory_order_relaxed);
-    flushed_total.fetch_add(combiner.stats().flushed_records,
-                            std::memory_order_relaxed);
-  });
-  EXPECT_FALSE(table.overflowed());
-  const uint64_t workers = static_cast<uint64_t>(NumWorkers());
-  EXPECT_EQ(records_total.load(), workers * ops_per_worker);
-  EXPECT_LE(flushed_total.load(), records_total.load());
-  std::vector<uint64_t> expected(kKeys, 0);
-  for (uint64_t w = 0; w < workers; ++w) {
-    for (uint64_t i = 0; i < ops_per_worker; ++i) {
-      ++expected[SkewedKey(w * ops_per_worker + i)];
-    }
-  }
-  for (uint64_t k = 0; k < kKeys; ++k) {
-    ASSERT_EQ(static_cast<uint64_t>(table.Get(k)), expected[k])
-        << "key " << k;
-  }
-}
-
-TEST(CombinerStress, CombinerOverflowSurfacesLikeDirectUpsert) {
-  // When the shared table overflows mid-flush, the combiner must report it
-  // the same way a direct Upsert would (false), and the overflow flag must
-  // be visible to every worker.
-  ConcurrentHashTable<double> table(16);
-  SamplerCombiner combiner(&table, /*log2_slots=*/4);
-  bool ok = true;
-  for (uint64_t i = 0; i < 4096; ++i) {
-    ok = combiner.Add(i + 1, 1.0) && ok;
-  }
-  ok = combiner.Flush() && ok;
-  EXPECT_FALSE(ok);
-  EXPECT_TRUE(table.overflowed());
 }
 
 // A clean parallel sum; run between storms to prove the pool recovered.
