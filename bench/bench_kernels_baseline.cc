@@ -100,6 +100,26 @@ void BenchGemm() {
   }
 }
 
+// The tall-skinny product the pipeline runs: rSVD lines 6 and 10 (n x q
+// times q x q, q = 138 on LightNE-Small with n = 75000).
+void BenchGemmTallSkinny() {
+  std::printf("GEMM (C = A*B, tall-skinny n x q * q x q)\n");
+  constexpr uint64_t kRows = 75000;
+  constexpr uint64_t kQ = 138;
+  const uint64_t rows = Scaled(kRows, 1024);
+  Matrix a = Matrix::Gaussian(rows, kQ, kRows);
+  Matrix b = Matrix::Gaussian(kQ, kQ, kRows + 1);
+  const double flops = 2.0 * rows * kQ * kQ;
+  const std::string tag = "gemm_" + std::to_string(kRows) + "x" +
+                          std::to_string(kQ);
+  auto shape = std::vector<std::pair<std::string, uint64_t>>{
+      {"m", rows}, {"k", kQ}, {"n", kQ}};
+  Record({tag + "_blocked_1t", "gemm", "blocked", 1, shape}, flops, 5, true,
+         [&] { Matrix c = Gemm(a, b); });
+  Record({tag + "_blocked_mt", "gemm", "blocked", 1, shape}, flops, 5, false,
+         [&] { Matrix c = Gemm(a, b); });
+}
+
 void BenchGemmTN() {
   std::printf("GemmTN (C = A^T*B, tall-skinny)\n");
   struct Size {
@@ -164,11 +184,6 @@ void BenchSpmm() {
            [&] { Matrix y = m.Multiply(x); });
     Record({tag + "_blocked_mt", "spmm", "blocked", 1, shape}, flops, 5,
            false, [&] { Matrix y = m.Multiply(x); });
-    // Forced column-strip tiling: the auto policy single-passes at these
-    // widths (see kernels::kSpmmStripMinCols); this row records what the
-    // strip actually costs so the policy stays measurement-backed.
-    Record({tag + "_strip64_1t", "spmm", "strip64", 1, shape}, flops, 5,
-           true, [&] { Matrix y = m.Multiply(x, kernels::kSpmmStrip); });
   }
 }
 
@@ -262,6 +277,7 @@ int main(int argc, char** argv) {
   std::printf("LightNE kernel perf baseline (scale %.2f, %d workers)\n\n",
               BenchScale(), lightne::NumWorkers());
   BenchGemm();
+  BenchGemmTallSkinny();
   BenchGemmTN();
   BenchSpmm();
   BenchRsvd();

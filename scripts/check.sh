@@ -98,6 +98,10 @@ for row in doc["results"]:
                 "median_ms"):
         assert key in row, f"result row missing key {key!r}: {row}"
     assert row["median_ms"] > 0, f"non-positive median in {row['name']}"
+names = {row["name"] for row in doc["results"]}
+# The tall-skinny rSVD product (n x 138 * 138 x 138) the pipeline runs.
+for name in ("gemm_75000x138_blocked_1t", "gemm_75000x138_blocked_mt"):
+    assert name in names, f"BENCH_kernels.json missing row {name!r}"
 assert "gemm_512_blocked_vs_naive_1t" in doc["speedups"]
 print(f"bench smoke OK: {len(doc['results'])} results, "
       f"gemm_512 speedup {doc['speedups']['gemm_512_blocked_vs_naive_1t']}x")

@@ -36,24 +36,32 @@ struct SpectralPropagationOptions {
 
 namespace internal {
 
+/// Row u of (A + I) X into yu: the self loop, then the weighted neighbours
+/// in adjacency order. The one row loop behind both operators below.
+template <GraphView G>
+void APlusIRow(const G& g, NodeId u, const Matrix& x, float* yu) {
+  const uint64_t d = x.cols();
+  const float* xu = x.Row(u);
+  for (uint64_t j = 0; j < d; ++j) yu[j] = xu[j];
+  MapNeighborsWeighted(g, u, [&](NodeId v, float w) {
+    const float* xv = x.Row(v);
+    for (uint64_t j = 0; j < d; ++j) yu[j] += w * xv[j];
+  });
+}
+
 /// Y = Mop X where Mop = (1 - mu) I - rownorm(A + I). Weighted graphs use
 /// weighted rows (self loop weight 1, the ProNE renormalization trick).
 template <GraphView G>
 Matrix MultiplyMop(const G& g, const Matrix& x, double mu) {
   Matrix y(x.rows(), x.cols());
   const uint64_t d = x.cols();
+  const float one_minus_mu = static_cast<float>(1.0 - mu);
   g.MapVertices([&](NodeId u) {
-    const double inv = 1.0 / (VertexWeightedDegree(g, u) + 1.0);
     float* yu = y.Row(u);
     const float* xu = x.Row(u);
-    // accumulate weighted neighbor sum (+ the self loop)
-    for (uint64_t j = 0; j < d; ++j) yu[j] = xu[j];
-    MapNeighborsWeighted(g, u, [&](NodeId v, float w) {
-      const float* xv = x.Row(v);
-      for (uint64_t j = 0; j < d; ++j) yu[j] += w * xv[j];
-    });
-    const float one_minus_mu = static_cast<float>(1.0 - mu);
-    const float scale = static_cast<float>(inv);
+    APlusIRow(g, u, x, yu);
+    const float scale =
+        static_cast<float>(1.0 / (VertexWeightedDegree(g, u) + 1.0));
     for (uint64_t j = 0; j < d; ++j) {
       yu[j] = one_minus_mu * xu[j] - scale * yu[j];
     }
@@ -65,16 +73,7 @@ Matrix MultiplyMop(const G& g, const Matrix& x, double mu) {
 template <GraphView G>
 Matrix MultiplyAPlusI(const G& g, const Matrix& x) {
   Matrix y(x.rows(), x.cols());
-  const uint64_t d = x.cols();
-  g.MapVertices([&](NodeId u) {
-    float* yu = y.Row(u);
-    const float* xu = x.Row(u);
-    for (uint64_t j = 0; j < d; ++j) yu[j] = xu[j];
-    MapNeighborsWeighted(g, u, [&](NodeId v, float w) {
-      const float* xv = x.Row(v);
-      for (uint64_t j = 0; j < d; ++j) yu[j] += w * xv[j];
-    });
-  });
+  g.MapVertices([&](NodeId u) { APlusIRow(g, u, x, y.Row(u)); });
   return y;
 }
 

@@ -38,14 +38,6 @@ Matrix NaiveGemmTN(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix NaiveTranspose(const Matrix& a) {
-  Matrix t(a.cols(), a.rows());
-  for (uint64_t i = 0; i < a.rows(); ++i) {
-    for (uint64_t j = 0; j < a.cols(); ++j) t.At(j, i) = a.At(i, j);
-  }
-  return t;
-}
-
 Matrix NaiveSpmm(const SparseMatrix& a, const Matrix& x) {
   LIGHTNE_CHECK_EQ(a.cols(), x.rows());
   Matrix y(a.rows(), x.cols());
@@ -119,18 +111,12 @@ uint64_t GemmTnBlocks(uint64_t rows, uint64_t m, uint64_t n) {
 
 }  // namespace kernels
 
-// ---------------------------------------------------------- blocked kernels
+// ------------------------------------------------------- production kernels
 
-using kernels::kKc;
-using kernels::kMc;
-using kernels::kNc;
-
-// C = A * B via packed B tiles. B is packed once into (kb, jb) tiles of at
-// most kKc x kNc, each stored row-major with its real strip width, so the
-// innermost loop streams contiguous panel rows while the C strip (<= 256 B)
-// stays in L1. Parallel over kMc-row panels of A/C; every output element is
-// produced by exactly one task with products added in ascending k — the
-// result is bit-identical to NaiveGemm and independent of the worker count.
+// C = A * B as kMc-row panels of A/C, one MicroGemm over unpacked B each.
+// Every output element is produced by exactly one task with products added
+// in ascending k from 0.0f, so the result is bit-identical to NaiveGemm and
+// independent of the worker count.
 Matrix Gemm(const Matrix& a, const Matrix& b) {
   LIGHTNE_CHECK_EQ(a.cols(), b.rows());
   const uint64_t m = a.rows();
@@ -138,49 +124,12 @@ Matrix Gemm(const Matrix& a, const Matrix& b) {
   const uint64_t n = b.cols();
   Matrix c(m, n);
   if (m == 0 || k == 0 || n == 0) return c;
-
-  const uint64_t kb_count = (k + kKc - 1) / kKc;
-  const uint64_t jb_count = (n + kNc - 1) / kNc;
-  ScratchArena::Scope scope(ScratchArena::ForCurrentThread());
-  float* packed = scope.AllocArray<float>(kb_count * jb_count * kKc * kNc);
   ParallelFor(
-      0, kb_count * jb_count,
-      [&](uint64_t t) {
-        const uint64_t kb = t / jb_count;
-        const uint64_t jb = t % jb_count;
-        const uint64_t k_lo = kb * kKc;
-        const uint64_t k_len = std::min(kKc, k - k_lo);
-        const uint64_t j_lo = jb * kNc;
-        const uint64_t j_len = std::min(kNc, n - j_lo);
-        kernels::CopyBlock(b.Row(k_lo) + j_lo, n, packed + t * kKc * kNc,
-                           j_len, k_len, j_len);
-      },
-      /*grain=*/1);
-
-  ParallelFor(
-      0, (m + kMc - 1) / kMc,
+      0, (m + kernels::kMc - 1) / kernels::kMc,
       [&](uint64_t ip) {
-        const uint64_t i_lo = ip * kMc;
-        const uint64_t i_hi = std::min(m, i_lo + kMc);
-        for (uint64_t kb = 0; kb < kb_count; ++kb) {
-          const uint64_t k_lo = kb * kKc;
-          const uint64_t k_len = std::min(kKc, k - k_lo);
-          for (uint64_t i = i_lo; i < i_hi; ++i) {
-            const float* __restrict ai = a.Row(i) + k_lo;
-            for (uint64_t jb = 0; jb < jb_count; ++jb) {
-              const uint64_t j_lo = jb * kNc;
-              const uint64_t j_len = std::min(kNc, n - j_lo);
-              float* __restrict ci = c.Row(i) + j_lo;
-              const float* __restrict tile =
-                  packed + (kb * jb_count + jb) * kKc * kNc;
-              for (uint64_t p = 0; p < k_len; ++p) {
-                const float aip = ai[p];
-                const float* __restrict bp = tile + p * j_len;
-                for (uint64_t j = 0; j < j_len; ++j) ci[j] += aip * bp[j];
-              }
-            }
-          }
-        }
+        const uint64_t i_lo = ip * kernels::kMc;
+        kernels::MicroGemm(a.Row(i_lo), k, b.data(), n, c.Row(i_lo), n,
+                           std::min(kernels::kMc, m - i_lo), k, n);
       },
       /*grain=*/1);
   return c;
@@ -231,30 +180,10 @@ Matrix GemmTN(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-// Square-tile transpose: each kTransposeTile x kTransposeTile tile is read
-// row-wise and written column-wise, so both matrices are touched a cache
-// line at a time instead of striding the full output row pitch per element.
 Matrix Transpose(const Matrix& a) {
-  const uint64_t rows = a.rows();
-  const uint64_t cols = a.cols();
-  Matrix t(cols, rows);
-  if (rows == 0 || cols == 0) return t;
-  constexpr uint64_t kTile = kernels::kTransposeTile;
-  const uint64_t row_tiles = (rows + kTile - 1) / kTile;
-  const uint64_t col_tiles = (cols + kTile - 1) / kTile;
-  ParallelFor(
-      0, row_tiles,
-      [&](uint64_t rt) {
-        const uint64_t i_lo = rt * kTile;
-        const uint64_t i_len = std::min(kTile, rows - i_lo);
-        for (uint64_t ct = 0; ct < col_tiles; ++ct) {
-          const uint64_t j_lo = ct * kTile;
-          const uint64_t j_len = std::min(kTile, cols - j_lo);
-          kernels::TransposeBlock(a.Row(i_lo) + j_lo, cols,
-                                  t.Row(j_lo) + i_lo, rows, i_len, j_len);
-        }
-      },
-      /*grain=*/1);
+  Matrix t(a.cols(), a.rows());
+  kernels::TransposeBlock(a.data(), a.cols(), t.data(), a.rows(), a.rows(),
+                          a.cols());
   return t;
 }
 

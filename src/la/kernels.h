@@ -1,27 +1,26 @@
-// Cache-blocked dense/sparse kernel layer (DESIGN.md §8).
+// Dense/sparse kernel layer (DESIGN.md §8).
 //
 // The paper runs Algorithm 3 through MKL (cblas_sgemm, mkl_sparse_s_mm,
-// LAPACKE); this layer is the tuned from-scratch substitute. Every hot
-// kernel exists twice:
+// LAPACKE); this layer is the from-scratch substitute, one kernel per job:
 //
 //  - Naive* reference kernels: textbook triple loops. Kept compiled
-//    permanently — they are the accuracy oracle for the blocked kernels and
+//    permanently — they are the accuracy oracle for the kernels below and
 //    the denominator of the recorded perf baseline
 //    (bench/bench_kernels_baseline.cc → BENCH_kernels.json).
-//  - Blocked kernels, reached through the public Gemm / GemmTN / Transpose
-//    entry points (la/matrix.h) and SparseMatrix::Multiply: L1/L2 cache
-//    blocking with packed B panels, __restrict-qualified inner loops the
-//    compiler auto-vectorizes, parallelized over row panels.
+//  - Gemm (kMc-row panels, each one MicroGemm over unpacked B), GemmTN
+//    (shape-partitioned double reduction) and SparseMatrix::Multiply (one
+//    row-parallel pass): __restrict-qualified inner loops the compiler
+//    auto-vectorizes, parallelized over rows.
 //
 // Determinism contract (relied on by the 1-vs-N-worker tests): every
-// blocked kernel accumulates each output element in exactly the same order
-// and precision as its naive reference, and partitions work as a function
-// of the problem shape only — never the worker count. Gemm, Transpose and
-// Spmm are therefore bit-identical to their references and across worker
-// counts. GemmTN reduces per-element in double through a shape-determined
-// block partition: still bit-identical across worker counts, and equal to
-// its reference to ~1 float ulp after the final double→float rounding
-// (tested at 1e-12 relative Frobenius, far below that ulp).
+// kernel accumulates each output element in exactly the same order and
+// precision as its naive reference, and partitions work as a function of
+// the problem shape only — never the worker count. Gemm and Spmm are
+// therefore bit-identical to their references and across worker counts.
+// GemmTN reduces per-element in double through a shape-determined block
+// partition: still bit-identical across worker counts, and equal to its
+// reference to ~1 float ulp after the final double→float rounding (tested
+// at 1e-12 relative Frobenius, far below that ulp).
 #ifndef LIGHTNE_LA_KERNELS_H_
 #define LIGHTNE_LA_KERNELS_H_
 
@@ -40,35 +39,18 @@ Matrix NaiveGemm(const Matrix& a, const Matrix& b);
 /// C = A^T * B, one double accumulator per output element, rows ascending.
 Matrix NaiveGemmTN(const Matrix& a, const Matrix& b);
 
-/// B = A^T, element-at-a-time.
-Matrix NaiveTranspose(const Matrix& a);
-
 /// Y = A * X for CSR A: row-at-a-time, nnz ascending, float accumulator.
 Matrix NaiveSpmm(const SparseMatrix& a, const Matrix& x);
 
 namespace kernels {
 
-// Blocking parameters shared by the blocked kernels (DESIGN.md §8 explains
-// the working-set arithmetic).
-inline constexpr uint64_t kMc = 64;   ///< A/C row panel handed to one task
-inline constexpr uint64_t kKc = 256;  ///< k-panel depth of a packed B tile
-inline constexpr uint64_t kNc = 64;   ///< column strip (256 B of a C row)
-inline constexpr uint64_t kTransposeTile = 32;  ///< square copy tile
-inline constexpr uint64_t kSpmmStrip = 64;      ///< dense-RHS column strip
-/// Spmm's auto policy strips only when the RHS has at least this many
-/// columns — the width where the float accumulator row alone reaches a
-/// 32 KiB L1 and can no longer stay resident through a full-width pass.
-/// Below it the single pass wins outright: measured on the baseline box,
-/// full-width beat strip-64/strip-256 at every RHS width in {512, 1024,
-/// 2048, 4096} (per-strip re-reads of the CSR indices plus chopped X-row
-/// streams cost more than the residency they buy). The threshold is thus
-/// the arithmetic point where stripping becomes necessary, not a tuning
-/// guess; SparseMatrix::Multiply takes an explicit strip override so tests
-/// and the perf baseline exercise the tiled path regardless.
-inline constexpr uint64_t kSpmmStripMinCols = (32 * 1024) / sizeof(float);
+/// Rows of A/C that Gemm hands to one task. MicroGemm walks the panel a row
+/// at a time: the C row (138 floats in the rSVD) stays in L1 while B, read
+/// unpacked, streams past it from L2.
+inline constexpr uint64_t kMc = 64;
 
 /// Copies a rows x cols block between row-major buffers with leading
-/// dimensions lds/ldd. The shared pack primitive (QR panels, B tiles).
+/// dimensions lds/ldd. The shared pack primitive (TSQR panels).
 void CopyBlock(const float* __restrict src, uint64_t lds,
                float* __restrict dst, uint64_t ldd, uint64_t rows,
                uint64_t cols);
@@ -80,8 +62,8 @@ void TransposeBlock(const float* __restrict src, uint64_t lds,
                     uint64_t cols);
 
 /// C = A * B on raw row-major views (C overwritten), float accumulation in
-/// strict k-ascending order. Single-threaded; sized for the small q x q
-/// panel products inside TSQR — no packing, B is assumed cache-resident.
+/// strict k-ascending order. Single-threaded, no packing: the per-panel
+/// body of Gemm and of the TSQR and top-k panel products.
 void MicroGemm(const float* __restrict a, uint64_t lda,
                const float* __restrict b, uint64_t ldb, float* __restrict c,
                uint64_t ldc, uint64_t m, uint64_t k, uint64_t n);

@@ -62,8 +62,8 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// C = A * B. Cache-blocked with packed B panels, parallel over row panels
-/// of A; bit-identical to NaiveGemm for any worker count (la/kernels.h).
+/// C = A * B. Parallel over row panels of A, each a MicroGemm over unpacked
+/// B; bit-identical to NaiveGemm for any worker count (la/kernels.h).
 Matrix Gemm(const Matrix& a, const Matrix& b);
 
 /// C = A^T * B, for tall-skinny A and B with equal row counts (the Gram-type
@@ -72,7 +72,7 @@ Matrix Gemm(const Matrix& a, const Matrix& b);
 /// (la/kernels.h); deterministic for any worker count.
 Matrix GemmTN(const Matrix& a, const Matrix& b);
 
-/// B = A^T. Square-tile blocked copy (la/kernels.h).
+/// B = A^T, element-at-a-time (tests and tiny matrices only).
 Matrix Transpose(const Matrix& a);
 
 /// max_{i,j} |A_ij - B_ij|; shapes must match.

@@ -257,7 +257,9 @@ TEST(WalkEngineTest, StreamsBitIdenticalAcrossDecodeVariants) {
       const uint64_t len = accel.pinned.PinnedLen(v);
       partial |= len > 0 && len < g.Degree(v);
     }
-    if (budget == (uint64_t{4} << 10)) EXPECT_TRUE(partial);
+    if (budget == (uint64_t{4} << 10)) {
+      EXPECT_TRUE(partial);
+    }
     WalkContext<CompressedGraph> pinned(accel);
     const std::vector<NodeId> stream = DrawStream(
         g, [&](NodeId v, uint64_t i) { return pinned.Neighbor(g, v, i); });
