@@ -24,10 +24,12 @@
 #include "graph/types.h"
 #include "la/kernels.h"
 #include "la/matrix.h"
+#include "la/qr.h"
 #include "la/rsvd.h"
 #include "la/sparse.h"
 #include "parallel/parallel_for.h"
 #include "util/artifact_io.h"
+#include "util/check.h"
 
 namespace lightne::bench {
 namespace {
@@ -39,8 +41,8 @@ uint64_t Scaled(uint64_t n, uint64_t floor_value = 64) {
 
 struct ResultRow {
   std::string name;     // stable key, e.g. "gemm_512_blocked_1t"
-  std::string kernel;   // gemm | gemm_tn | spmm | rsvd
-  std::string variant;  // naive | blocked
+  std::string kernel;   // gemm | gemm_tn | orthonormalize | spmm | rsvd
+  std::string variant;  // naive | blocked | gram
   int threads = 1;
   std::vector<std::pair<std::string, uint64_t>> shape;
   int runs = 0;
@@ -143,6 +145,31 @@ void BenchGemmTN() {
            true, [&] { Matrix c = GemmTN(a, b); });
     Record({tag + "_blocked_mt", "gemm_tn", "blocked", 1, shape}, flops, 5,
            false, [&] { Matrix c = GemmTN(a, b); });
+  }
+}
+
+// The rSVD's tall-skinny orthonormalization (Algo 3 lines 4 and 7): two
+// Gram passes, each GemmTN + a q x q JacobiSvd + Gemm. Shapes: LightNE-Small
+// (n = 75000, q = 138) and the billion_scale recipe (RMAT-19, q = 42).
+void BenchOrthonormalize() {
+  std::printf("Orthonormalize (tall-skinny, two Gram passes)\n");
+  for (const auto& [base_rows, q] :
+       {std::pair<uint64_t, uint64_t>{75000, 138},
+        std::pair<uint64_t, uint64_t>{524288, 42}}) {
+    const uint64_t rows = Scaled(base_rows, 1024);
+    const Matrix y = Matrix::Gaussian(rows, q, base_rows + q);
+    const std::string tag = "orthonormalize_" + std::to_string(base_rows) +
+                            "x" + std::to_string(q);
+    auto shape = std::vector<std::pair<std::string, uint64_t>>{{"rows", rows},
+                                                               {"q", q}};
+    auto run = [&] {
+      Matrix copy = y;
+      LIGHTNE_CHECK(Orthonormalize(&copy).ok());
+    };
+    Record({tag + "_1t", "orthonormalize", "gram", 1, shape}, -1.0, 3, true,
+           run);
+    Record({tag + "_mt", "orthonormalize", "gram", 1, shape}, -1.0, 5, false,
+           run);
   }
 }
 
@@ -279,6 +306,7 @@ int main(int argc, char** argv) {
   BenchGemm();
   BenchGemmTallSkinny();
   BenchGemmTN();
+  BenchOrthonormalize();
   BenchSpmm();
   BenchRsvd();
   WriteJson(out);

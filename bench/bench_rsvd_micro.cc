@@ -1,6 +1,7 @@
 // Microbenchmarks for the randomized SVD substrate (§4.3, Algo 3): end-to-
 // end rSVD at several sizes/ranks, its component kernels (SPMM, tall-skinny
-// QR, small Jacobi SVD), and the accuracy/time effect of power iterations.
+// Gram orthonormalization, small Jacobi SVD), and the accuracy/time effect
+// of power iterations.
 #include <benchmark/benchmark.h>
 
 #include "graph/types.h"
@@ -8,6 +9,7 @@
 #include "la/rsvd.h"
 #include "la/sparse.h"
 #include "la/svd.h"
+#include "util/check.h"
 #include "util/random.h"
 
 namespace lightne {
@@ -81,15 +83,20 @@ BENCHMARK(BM_Spmm)->Arg(16384)->Arg(262144)->Unit(benchmark::kMillisecond);
 
 void BM_TallSkinnyQr(benchmark::State& state) {
   const uint64_t n = static_cast<uint64_t>(state.range(0));
-  Matrix a = Matrix::Gaussian(n, 74, 11);  // d=64 + oversample 10
+  const uint64_t q = static_cast<uint64_t>(state.range(1));
+  Matrix a = Matrix::Gaussian(n, q, 11);
   for (auto _ : state) {
     Matrix copy = a;
-    Matrix r = TsqrFactorize(&copy);
-    benchmark::DoNotOptimize(r.data());
+    LIGHTNE_CHECK(Orthonormalize(&copy).ok());
+    benchmark::DoNotOptimize(copy.data());
   }
-  state.SetLabel("n=" + std::to_string(n) + " q=74");
+  state.SetLabel("n=" + std::to_string(n) + " q=" + std::to_string(q));
 }
-BENCHMARK(BM_TallSkinnyQr)->Arg(16384)->Arg(262144)
+// q = 138: LightNE-Small (d = 128 + oversample 10); q = 42: the
+// billion_scale recipe (d = 32 + 10).
+BENCHMARK(BM_TallSkinnyQr)
+    ->Args({75000, 138})
+    ->Args({524288, 42})
     ->Unit(benchmark::kMillisecond);
 
 void BM_JacobiSvdSmall(benchmark::State& state) {

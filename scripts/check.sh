@@ -99,8 +99,12 @@ for row in doc["results"]:
         assert key in row, f"result row missing key {key!r}: {row}"
     assert row["median_ms"] > 0, f"non-positive median in {row['name']}"
 names = {row["name"] for row in doc["results"]}
-# The tall-skinny rSVD product (n x 138 * 138 x 138) the pipeline runs.
-for name in ("gemm_75000x138_blocked_1t", "gemm_75000x138_blocked_mt"):
+# The tall-skinny rSVD product (n x 138 * 138 x 138) the pipeline runs, and
+# the rSVD's orthonormalization at the LightNE-Small and billion_scale
+# panel shapes.
+for name in ("gemm_75000x138_blocked_1t", "gemm_75000x138_blocked_mt",
+             "orthonormalize_75000x138_1t", "orthonormalize_75000x138_mt",
+             "orthonormalize_524288x42_1t", "orthonormalize_524288x42_mt"):
     assert name in names, f"BENCH_kernels.json missing row {name!r}"
 assert "gemm_512_blocked_vs_naive_1t" in doc["speedups"]
 print(f"bench smoke OK: {len(doc['results'])} results, "

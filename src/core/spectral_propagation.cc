@@ -8,25 +8,22 @@ namespace lightne {
 
 Result<Matrix> DenseSvdSmoothing(const Matrix& mm) {
   const uint64_t d = mm.cols();
-  // Gram trick: mm = U S V^T  =>  mm^T mm = V S^2 V^T, and JacobiSvd of the
-  // symmetric PSD Gram matrix is its eigen-decomposition (sigma_j = S_j^2).
-  Matrix gram = GemmTN(mm, mm);
-  Result<SvdResult> eig_result = JacobiSvd(gram);
-  if (!eig_result.ok()) return eig_result.status();
-  SvdResult& eig = *eig_result;
+  // Gram step: mm = U S V^T  =>  mm^T mm = V S^2 V^T (lambda_j = S_j^2).
+  Result<GramEigen> eig = GramEigenDecompose(mm);
+  if (!eig.ok()) return eig.status();
   // ProNE's smoothing returns row-normalized U sqrt(S). Since
   //   U sqrt(S) = mm V S^{-1} S^{1/2} = mm V S^{-1/2},
-  // scale the columns of mm*V by S_j^{-1/2} = sigma_j^{-1/4}.
+  // scale the columns of mm*V by S_j^{-1/2} = lambda_j^{-1/4}.
   std::vector<float> scale(d);
   for (uint64_t j = 0; j < d; ++j) {
-    const double s2 = std::max(0.0, static_cast<double>(eig.sigma[j]));
+    const double s2 = std::max(0.0, static_cast<double>(eig->lambda[j]));
     scale[j] =
         s2 > 1e-12 ? static_cast<float>(1.0 / std::sqrt(std::sqrt(s2))) : 0.0f;
   }
-  Matrix mv = Gemm(mm, eig.v);
+  Matrix& mv = eig->yv;
   mv.ScaleColumns(scale);
   mv.NormalizeRows();
-  return mv;
+  return std::move(mv);
 }
 
 }  // namespace lightne

@@ -1,7 +1,6 @@
 #include "la/kernels.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "parallel/parallel_for.h"
 #include "parallel/scratch.h"
@@ -59,14 +58,6 @@ Matrix NaiveSpmm(const SparseMatrix& a, const Matrix& x) {
 // ------------------------------------------------------- shared primitives
 
 namespace kernels {
-
-void CopyBlock(const float* __restrict src, uint64_t lds,
-               float* __restrict dst, uint64_t ldd, uint64_t rows,
-               uint64_t cols) {
-  for (uint64_t i = 0; i < rows; ++i) {
-    std::memcpy(dst + i * ldd, src + i * lds, cols * sizeof(float));
-  }
-}
 
 void TransposeBlock(const float* __restrict src, uint64_t lds,
                     float* __restrict dst, uint64_t ldd, uint64_t rows,

@@ -49,12 +49,6 @@ namespace kernels {
 /// unpacked, streams past it from L2.
 inline constexpr uint64_t kMc = 64;
 
-/// Copies a rows x cols block between row-major buffers with leading
-/// dimensions lds/ldd. The shared pack primitive (TSQR panels).
-void CopyBlock(const float* __restrict src, uint64_t lds,
-               float* __restrict dst, uint64_t ldd, uint64_t rows,
-               uint64_t cols);
-
 /// Writes the transpose of a rows x cols row-major block of src into dst
 /// (dst is cols x rows with leading dimension ldd).
 void TransposeBlock(const float* __restrict src, uint64_t lds,
@@ -63,7 +57,7 @@ void TransposeBlock(const float* __restrict src, uint64_t lds,
 
 /// C = A * B on raw row-major views (C overwritten), float accumulation in
 /// strict k-ascending order. Single-threaded, no packing: the per-panel
-/// body of Gemm and of the TSQR and top-k panel products.
+/// body of Gemm and of the top-k panel products.
 void MicroGemm(const float* __restrict a, uint64_t lda,
                const float* __restrict b, uint64_t ldb, float* __restrict c,
                uint64_t ldc, uint64_t m, uint64_t k, uint64_t n);

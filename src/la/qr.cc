@@ -3,8 +3,7 @@
 #include <cmath>
 #include <vector>
 
-#include "la/kernels.h"
-#include "parallel/parallel_for.h"
+#include "la/svd.h"
 #include "util/check.h"
 
 namespace lightne {
@@ -106,58 +105,25 @@ Matrix HouseholderQr(Matrix* a) {
   return r;
 }
 
-Matrix TsqrFactorize(Matrix* a) {
-  const uint64_t n = a->rows();
-  const uint64_t q = a->cols();
-  LIGHTNE_CHECK_GE(n, q);
-  // The block count is a function of the shape only — never the worker
-  // count — so the factorization (and everything downstream of rSVD) is
-  // bit-identical for any pool size. ~4K rows per block keeps the per-block
-  // Householder sweep long enough to amortize the stacked-R combine.
-  constexpr uint64_t kBlockRows = 1u << 12;
-  constexpr uint64_t kMaxBlocks = 64;
-  const uint64_t max_blocks = q == 0 ? 1 : n / q;
-  uint64_t blocks = n / kBlockRows;
-  if (blocks > kMaxBlocks) blocks = kMaxBlocks;
-  if (blocks > max_blocks) blocks = max_blocks;
-  if (blocks <= 1 || n < (1u << 12)) return HouseholderQr(a);
-
-  // Row ranges per block.
-  auto block_lo = [&](uint64_t b) { return n * b / blocks; };
-
-  // Per-block QR. Panel copies go through the shared blocked-copy primitive.
-  std::vector<Matrix> q_blocks(blocks);
-  Matrix stacked(blocks * q, q);
-  ParallelFor(
-      0, blocks,
-      [&](uint64_t b) {
-        const uint64_t lo = block_lo(b), hi = block_lo(b + 1);
-        Matrix ab(hi - lo, q);
-        kernels::CopyBlock(a->Row(lo), q, ab.Row(0), q, hi - lo, q);
-        Matrix rb = HouseholderQr(&ab);
-        q_blocks[b] = std::move(ab);
-        kernels::CopyBlock(rb.Row(0), q, stacked.Row(b * q), q, q, q);
-      },
-      /*grain=*/1);
-
-  // QR of the stacked R factors (small: blocks*q x q).
-  Matrix r_final = HouseholderQr(&stacked);
-
-  // Recover thin Q: block b of Q = Q_b * stacked[b*q:(b+1)*q, :]. The q x q
-  // panel product runs through the shared microkernel (stacked panel is
-  // cache-resident), writing the block of `a` in place.
-  ParallelFor(
-      0, blocks,
-      [&](uint64_t b) {
-        const uint64_t lo = block_lo(b), hi = block_lo(b + 1);
-        const Matrix& qb = q_blocks[b];
-        kernels::MicroGemm(qb.Row(0), q, stacked.Row(b * q), q, a->Row(lo),
-                           q, hi - lo, q, q);
-      },
-      /*grain=*/1);
-  return r_final;
+Status Orthonormalize(Matrix* a) {
+  // Gram eigenvalues below this fraction of the largest are rounding noise
+  // of an exactly rank-deficient panel: those columns are set to zero
+  // rather than blown up by lambda^{-1/2}.
+  constexpr double kRankFloor = 1e-12;
+  for (int pass = 0; pass < 2; ++pass) {
+    Result<GramEigen> eig = GramEigenDecompose(*a);
+    if (!eig.ok()) return eig.status();
+    const double floor = kRankFloor * eig->lambda[0];
+    std::vector<float> scale(a->cols());
+    for (uint64_t j = 0; j < scale.size(); ++j) {
+      const double lambda = eig->lambda[j];
+      scale[j] = lambda > floor ? static_cast<float>(1.0 / std::sqrt(lambda))
+                                : 0.0f;
+    }
+    eig->yv.ScaleColumns(scale);
+    *a = std::move(eig->yv);
+  }
+  return Status::Ok();
 }
-
-void Orthonormalize(Matrix* a) { TsqrFactorize(a); }
 
 }  // namespace lightne

@@ -43,17 +43,17 @@ Result<RandomizedSvdResult> RandomizedSvd(const SparseMatrix& a,
   // Line 3: Y = A^T O.                                  // mkl_sparse_s_mm
   Matrix y = at->Multiply(o);
   // Line 4: orthonormalize Y.         // LAPACKE_sgeqrf, LAPACKE_sorgqr
-  Orthonormalize(&y);
+  LIGHTNE_RETURN_IF_ERROR(Orthonormalize(&y));
   sketch_span.End();
 
   // Optional subspace (power) iterations for tougher spectra: an Spmm and a
-  // TSQR per half-step, neither of which needs scratch workspace.
+  // Gram orthonormalization per half-step.
   for (uint64_t it = 0; it < opt.power_iters; ++it) {
     TraceSpan iter_span("rsvd/power_iter");
     Matrix z = a.Multiply(y);
-    Orthonormalize(&z);
+    LIGHTNE_RETURN_IF_ERROR(Orthonormalize(&z));
     y = at->Multiply(z);
-    Orthonormalize(&y);
+    LIGHTNE_RETURN_IF_ERROR(Orthonormalize(&y));
   }
   MetricsRegistry::Global().GetCounter("rsvd/power_iters")
       ->Add(opt.power_iters);
@@ -64,7 +64,7 @@ Result<RandomizedSvdResult> RandomizedSvd(const SparseMatrix& a,
   // Line 6: Z = B P.                                    // cblas_sgemm
   Matrix z = Gemm(b, p);
   // Line 7: orthonormalize Z.         // LAPACKE_sgeqrf, LAPACKE_sorgqr
-  Orthonormalize(&z);
+  LIGHTNE_RETURN_IF_ERROR(Orthonormalize(&z));
   // Line 8: C = Z^T B.                                  // cblas_sgemm
   Matrix c = GemmTN(z, b);
   project_span.End();

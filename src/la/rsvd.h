@@ -28,8 +28,9 @@ struct RandomizedSvdResult {
 
 /// Approximate truncated SVD of a sparse n x n matrix. Fails with
 /// kInvalidArgument on a non-square input or a rank that exceeds its
-/// dimension, and propagates kInternal from the inner Jacobi SVD if the
-/// projected problem does not converge.
+/// dimension, and propagates kInternal from any inner Jacobi SVD (the Gram
+/// step of each Orthonormalize, or the projected problem) that does not
+/// converge.
 Result<RandomizedSvdResult> RandomizedSvd(const SparseMatrix& a,
                                           const RandomizedSvdOptions& opt);
 

@@ -139,4 +139,13 @@ Result<SvdResult> JacobiSvd(const Matrix& a) {
   return out;
 }
 
+Result<GramEigen> GramEigenDecompose(const Matrix& y) {
+  Result<SvdResult> eig = JacobiSvd(GemmTN(y, y));
+  if (!eig.ok()) return eig.status();
+  GramEigen out;
+  out.yv = Gemm(y, eig->v);
+  out.lambda = std::move(eig->sigma);
+  return out;
+}
+
 }  // namespace lightne

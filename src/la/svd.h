@@ -26,6 +26,21 @@ struct SvdResult {
 /// silently truncated). Fault point: "svd/converge".
 Result<SvdResult> JacobiSvd(const Matrix& a);
 
+/// The Gram step shared by every tall-skinny factorization ("eigSVD"):
+/// for an n x q matrix Y, G = Y^T Y = V diag(lambda) V^T, so Y V has
+/// orthogonal columns with squared norms lambda_j. JacobiSvd of the
+/// symmetric PSD G is its eigen-decomposition (sigma_j = lambda_j).
+struct GramEigen {
+  Matrix yv;                  // n x q: Y V
+  std::vector<float> lambda;  // q eigenvalues of Y^T Y, descending
+};
+
+/// GemmTN for G, JacobiSvd of G, Gemm for Y V — nothing else, so the
+/// result is bit-identical for any worker count (GemmTN blocks and Gemm
+/// panels depend on shape only; JacobiSvd is sequential). Propagates
+/// JacobiSvd's failures, including the "svd/converge" fault point.
+Result<GramEigen> GramEigenDecompose(const Matrix& y);
+
 }  // namespace lightne
 
 #endif  // LIGHTNE_LA_SVD_H_

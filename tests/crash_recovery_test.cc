@@ -170,9 +170,10 @@ struct KillPoint {
 
 TEST(CrashRecovery, KilledPipelineResumesBitIdentical) {
   // Crash sites spanning the pipeline: mid-sampling (before any artifact),
-  // the first artifact's first frame, the artifact commit itself, inside the
-  // SVD solver (sparsifier already durable), and deep in the save sequence
-  // with two stages durable. "io/write" hits count across every frame
+  // the first artifact's first frame, the artifact commit itself, in the
+  // first JacobiSvd — the Gram step of the rSVD sketch's Orthonormalize
+  // (sparsifier already durable) — and deep in the save sequence with two
+  // stages durable. "io/write" hits count across every frame
   // append, commit, and manifest rewrite, so the indices walk the ladder.
   std::vector<KillPoint> matrix = {
       {"sparsifier/table_insert", 3, 0},

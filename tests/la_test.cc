@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 #include <vector>
@@ -125,16 +126,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, QrShapes,
                                            std::make_pair(1000ull, 1ull),
                                            std::make_pair(5000ull, 40ull)));
 
-TEST(QrTest, TsqrMatchesContractOnTallMatrix) {
-  Matrix a = Matrix::Gaussian(20000, 24, 11);
-  Matrix original = a;
-  Matrix r = TsqrFactorize(&a);
-  ExpectOrthonormal(a, 1e-4);
-  EXPECT_LT(MaxAbsDiff(Gemm(a, r), original), 2e-3);
-}
-
-TEST(QrTest, RankDeficientInputStillGivesOrthonormalQ) {
-  // Two identical columns.
+// Columns a, a, 2a: rank 1.
+Matrix DuplicatedColumns() {
   Matrix a = Matrix::Gaussian(200, 1, 13);
   Matrix dup(200, 3);
   for (uint64_t i = 0; i < 200; ++i) {
@@ -142,6 +135,11 @@ TEST(QrTest, RankDeficientInputStillGivesOrthonormalQ) {
     dup.At(i, 1) = a.At(i, 0);
     dup.At(i, 2) = 2.0f * a.At(i, 0);
   }
+  return dup;
+}
+
+TEST(QrTest, RankDeficientInputStillGivesOrthonormalQ) {
+  Matrix dup = DuplicatedColumns();
   Matrix r = HouseholderQr(&dup);
   Matrix gram = GemmTN(dup, dup);
   // Diagonal entries are 0 or 1; off-diagonals ~0.
@@ -155,6 +153,84 @@ TEST(QrTest, RankDeficientInputStillGivesOrthonormalQ) {
   // R reflects rank 1: second and third rows ~0.
   EXPECT_NEAR(r.At(1, 1), 0.0, 1e-3);
   EXPECT_NEAR(r.At(2, 2), 0.0, 1e-3);
+}
+
+// Max |Q (Q^T Y) - Y| relative to max |Y|: zero iff Y lies in the span of
+// Q's columns.
+double ProjectionResidual(const Matrix& q, const Matrix& y) {
+  Matrix projected = Gemm(q, GemmTN(q, y));
+  double max_abs = 0;
+  for (uint64_t k = 0; k < y.rows() * y.cols(); ++k) {
+    max_abs = std::max(max_abs, static_cast<double>(std::fabs(y.data()[k])));
+  }
+  return MaxAbsDiff(projected, y) / max_abs;
+}
+
+class OrthonormalizeConditioning : public ::testing::TestWithParam<double> {};
+
+TEST_P(OrthonormalizeConditioning, QIsOrthonormalAndSpansInput) {
+  // The LightNE-Small rSVD panel shape, column j scaled by cond^{-j/(q-1)}
+  // so that cond(Y) ~ cond.
+  const double cond = GetParam();
+  constexpr uint64_t kRows = 75000, kQ = 138;
+  Matrix y = Matrix::Gaussian(kRows, kQ, 17);
+  std::vector<float> scale(kQ);
+  for (uint64_t j = 0; j < kQ; ++j) {
+    scale[j] = static_cast<float>(
+        std::pow(cond, -static_cast<double>(j) / (kQ - 1)));
+  }
+  y.ScaleColumns(scale);
+  Matrix q = y;
+  ASSERT_TRUE(Orthonormalize(&q).ok());
+  ExpectOrthonormal(q, 1e-5);
+  EXPECT_LT(ProjectionResidual(q, y), 1e-4);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cond, OrthonormalizeConditioning,
+                         ::testing::Values(1.0, 1e3, 1e5));
+
+TEST(OrthonormalizeTest, RankDeficientInputGivesZeroColumns) {
+  Matrix y = DuplicatedColumns();
+  Matrix q = y;
+  ASSERT_TRUE(Orthonormalize(&q).ok());
+  // One direction of rank: one unit column, the others exactly zero.
+  uint64_t nonzero = 0;
+  for (uint64_t j = 0; j < q.cols(); ++j) {
+    double norm2 = 0;
+    for (uint64_t i = 0; i < q.rows(); ++i) norm2 += q.At(i, j) * q.At(i, j);
+    if (norm2 > 0) {
+      ++nonzero;
+      EXPECT_NEAR(norm2, 1.0, 1e-5) << j;
+    }
+  }
+  EXPECT_EQ(nonzero, 1u);
+  EXPECT_LT(ProjectionResidual(q, y), 1e-5);
+}
+
+TEST(OrthonormalizeTest, ProjectorMatchesHouseholder) {
+  // Two bases of one span differ by a rotation; the projector Q Q^T does
+  // not.
+  Matrix y = Matrix::Gaussian(1000, 30, 23);
+  Matrix q_gram = y;
+  Matrix q_householder = y;
+  ASSERT_TRUE(Orthonormalize(&q_gram).ok());
+  HouseholderQr(&q_householder);
+  EXPECT_LT(MaxAbsDiff(Gemm(q_gram, Transpose(q_gram)),
+                       Gemm(q_householder, Transpose(q_householder))),
+            1e-5);
+}
+
+TEST(OrthonormalizeTest, BitIdenticalAcrossWorkerCounts) {
+  // Pooled (LIGHTNE_NUM_THREADS; 4 in the _mt4 variant) vs one worker, on
+  // a panel tall enough that GemmTN reduces over several blocks and Gemm
+  // runs many panels.
+  Matrix y = Matrix::Gaussian(20000, 42, 29);
+  Matrix pooled = y;
+  ASSERT_TRUE(Orthonormalize(&pooled).ok());
+  SequentialRegion sequential;
+  Matrix one_worker = y;
+  ASSERT_TRUE(Orthonormalize(&one_worker).ok());
+  EXPECT_EQ(MaxAbsDiff(pooled, one_worker), 0.0);
 }
 
 // -------------------------------------------------------------------- SVD --

@@ -14,7 +14,6 @@
 #include "graph/edge_map.h"
 #include "graph/pagerank.h"
 #include "graph/weighted_csr.h"
-#include "la/qr.h"
 #include "la/rsvd.h"
 #include "util/metrics.h"
 #include "util/random.h"
@@ -105,22 +104,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RsvdPlantedRank,
                          ::testing::Values(std::make_tuple(64ull, 2ull),
                                            std::make_tuple(240ull, 4ull),
                                            std::make_tuple(900ull, 9ull)));
-
-// -------------------------------------------------------------------- QR ----
-
-TEST(QrProperty, TsqrAndHouseholderAgreeUpToColumnSigns) {
-  Matrix a = Matrix::Gaussian(30000, 12, 3);
-  Matrix a2 = a;
-  Matrix r1 = HouseholderQr(&a);
-  Matrix r2 = TsqrFactorize(&a2);
-  // R is unique up to row signs for a full-rank matrix.
-  for (uint64_t i = 0; i < 12; ++i) {
-    for (uint64_t j = 0; j < 12; ++j) {
-      EXPECT_NEAR(std::fabs(r1.At(i, j)), std::fabs(r2.At(i, j)), 2e-2)
-          << i << "," << j;
-    }
-  }
-}
 
 // -------------------------------------------------- sparsifier estimator ----
 

@@ -20,7 +20,10 @@
 #include "graph/csr.h"
 #include "graph/io.h"
 #include "graph/pagerank.h"
+#include "graph/types.h"
 #include "la/embedding_io.h"
+#include "la/rsvd.h"
+#include "la/sparse.h"
 #include "util/fault_injection.h"
 #include "util/retry.h"
 
@@ -325,6 +328,36 @@ TEST_F(FaultSuite, SvdNonConvergenceSurfacesWithoutAborting) {
   auto ok = RunLightNe(g, opt);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->embedding.rows(), g.NumVertices());
+}
+
+TEST_F(FaultSuite, SketchOrthonormalizeFaultSurfacesFromRandomizedSvd) {
+  // The first JacobiSvd of an rSVD is the Gram step of the sketch's
+  // Orthonormalize (Algo 3 line 4). Failing exactly that call must come back
+  // as a Status, with no later solver reached.
+  std::vector<std::pair<uint64_t, double>> entries;
+  for (uint64_t i = 0; i < 64; ++i) {
+    entries.push_back({PackEdge(static_cast<NodeId>(i),
+                                static_cast<NodeId>((i + 1) % 64)),
+                       1.0});
+    entries.push_back({PackEdge(static_cast<NodeId>((i + 1) % 64),
+                                static_cast<NodeId>(i)),
+                       1.0});
+  }
+  const SparseMatrix a = SparseMatrix::FromEntries(64, 64, std::move(entries));
+  RandomizedSvdOptions opt;
+  opt.rank = 8;
+  opt.symmetric = true;
+  FaultRegistry::Global().ArmFailOnNthHit("svd/converge", 1);
+  auto r = RandomizedSvd(a, opt);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(FaultRegistry::Global().FireCount("svd/converge"), 1u);
+  EXPECT_EQ(FaultRegistry::Global().HitCount("svd/converge"), 1u);
+
+  // The next hit passes: the same call now succeeds.
+  auto ok = RandomizedSvd(a, opt);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->sigma.size(), opt.rank);
 }
 
 TEST_F(FaultSuite, ForcedTableOverflowRetriesToBitIdenticalSparsifier) {
